@@ -50,7 +50,7 @@ let classify_cmd =
       | Some a -> a
       | None ->
         Printf.eprintf
-          "unknown algorithm %s (use dfs, warshall, scc, par-dfs or par-scc)\n"
+          "unknown algorithm %s (use dfs, warshall, scc or par-scc)\n"
           algorithm;
         exit 1
     in
@@ -77,13 +77,12 @@ let classify_cmd =
   let algorithm =
     Arg.(value & opt string "scc"
          & info [ "algorithm" ]
-             ~doc:"Transitive-closure algorithm: dfs, warshall, scc, par-dfs or \
-                   par-scc.")
+             ~doc:"Transitive-closure algorithm: dfs, warshall, scc or par-scc.")
   in
   let jobs =
     Arg.(value & opt (some int) None
          & info [ "jobs"; "j" ]
-             ~doc:"Domain-pool width for the parallel algorithms (default: the \
+             ~doc:"Domain-pool width for the parallel algorithm (default: the \
                    host's recommended domain count).  The classification is \
                    identical at every job count.")
   in

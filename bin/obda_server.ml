@@ -14,9 +14,9 @@
 
 open Cmdliner
 
-let run unix_path tcp_port host workers queue timeout lru presto algorithm
-    classify_jobs join_threshold slow_log data_dir snapshot_every snapshot_bytes
-    group_commit chaos replica_of cluster_members advertise =
+let run unix_path tcp_port host workers queue timeout lru presto slow_log
+    data_dir snapshot_every snapshot_bytes group_commit chaos replica_of
+    cluster_members advertise =
   if unix_path = None && tcp_port = None then begin
     prerr_endline "error: need at least one of --unix PATH / --tcp PORT";
     exit 2
@@ -39,19 +39,6 @@ let run unix_path tcp_port host workers queue timeout lru presto algorithm
    | Result.Error e ->
      Printf.eprintf "error: OBDA_FAILPOINTS: %s\n" e;
      exit 2);
-  let algorithm =
-    match algorithm with
-    | None -> None
-    | Some s ->
-      (match Graphlib.Closure.algorithm_of_string s with
-       | Some a -> Some a
-       | None ->
-         Printf.eprintf
-           "error: unknown algorithm %s (use dfs, warshall, scc, par-dfs or \
-            par-scc)\n"
-           s;
-         exit 2)
-  in
   (* block before spawning anything: domains and threads inherit the
      mask, making the wait_signal below the one delivery point *)
   ignore (Unix.sigprocmask Unix.SIG_BLOCK [ Sys.sigterm; Sys.sigint ]);
@@ -62,9 +49,6 @@ let run unix_path tcp_port host workers queue timeout lru presto algorithm
       Server.Service.Config.mode =
         (if presto then Obda.Engine.Presto else Obda.Engine.Perfect_ref);
       lru;
-      algorithm;
-      jobs = classify_jobs;
-      join_threshold;
       slow_log_s = (match slow_log with Some s -> s | None -> infinity);
       chaos;
     }
@@ -223,24 +207,6 @@ let () =
     Arg.(value & flag
          & info [ "presto" ] ~doc:"Use the classification-aided rewriter.")
   in
-  let algorithm_arg =
-    Arg.(value & opt (some string) None
-         & info [ "algorithm" ] ~docv:"ALGO"
-             ~doc:"Transitive-closure algorithm for CLASSIFY: dfs, warshall, \
-                   scc, par-dfs or par-scc.")
-  in
-  let classify_jobs_arg =
-    Arg.(value & opt (some int) None
-         & info [ "classify-jobs" ] ~docv:"N"
-             ~doc:"Domain-pool width for the parallel classification \
-                   algorithms.")
-  in
-  let join_threshold_arg =
-    Arg.(value & opt (some int) None
-         & info [ "join-threshold" ] ~docv:"N"
-             ~doc:"Binding-count pivot between nested-loop and hash joins in \
-                   the query executor (default: the executor's built-in).")
-  in
   let slow_log_arg =
     Arg.(value & opt (some float) None
          & info [ "slow-log" ] ~docv:"SECONDS"
@@ -319,8 +285,6 @@ let () =
        (Cmd.v info
           Term.(
             const run $ unix_arg $ tcp_arg $ host_arg $ workers_arg $ queue_arg
-            $ timeout_arg $ lru_arg $ presto_arg $ algorithm_arg
-            $ classify_jobs_arg $ join_threshold_arg $ slow_log_arg
-            $ data_dir_arg $ snapshot_every_arg $ snapshot_bytes_arg
-            $ group_commit_arg $ chaos_arg $ replica_of_arg $ cluster_arg
+            $ timeout_arg $ lru_arg $ presto_arg $ slow_log_arg $ data_dir_arg
+            $ snapshot_every_arg $ snapshot_bytes_arg $ group_commit_arg $ chaos_arg $ replica_of_arg $ cluster_arg
             $ advertise_arg)))

@@ -20,7 +20,8 @@
     The [tbox] section is the ASCII DL-Lite syntax (declarations
     included, so the file reparses losslessly).  The [abox] and [query]
     sections are optional and resolve predicate names against the TBox
-    signature; attribute values may be double-quoted. *)
+    signature; arguments may be double-quoted, and a comma inside quotes
+    is part of the value. *)
 
 open Dllite
 
@@ -42,25 +43,6 @@ let render_assertion = function
   | Abox.Role_assert (p, c1, c2) -> Printf.sprintf "%s(%s, %s)" p c1 c2
   | Abox.Attr_assert (u, c, v) -> Printf.sprintf "%s(%s, \"%s\")" u c v
 
-(* strip the Vabox sort tag so the query re-reads through Qparse *)
-let detag pred =
-  if String.length pred > 2 && pred.[1] = '$' then
-    String.sub pred 2 (String.length pred - 2)
-  else pred
-
-let render_query q =
-  let term = function
-    | Obda.Cq.Var v -> v
-    | Obda.Cq.Const c -> Printf.sprintf "\"%s\"" c
-  in
-  let atom a =
-    Printf.sprintf "%s(%s)" (detag a.Obda.Cq.pred)
-      (String.concat ", " (List.map term a.Obda.Cq.args))
-  in
-  String.concat ", " q.Obda.Cq.answer_vars
-  ^ " <- "
-  ^ String.concat ", " (List.map atom q.Obda.Cq.body)
-
 let to_string (case : Runner.case) =
   let buf = Buffer.create 512 in
   Buffer.add_string buf "# conformance counterexample: ";
@@ -81,7 +63,8 @@ let to_string (case : Runner.case) =
          Buffer.add_char buf '\n')
        (Abox.assertions abox);
      Buffer.add_string buf "[query]\n";
-     Buffer.add_string buf (render_query q);
+     Buffer.add_string buf
+       (Obda.Qparse.query_text ~signature:(Tbox.signature case.Runner.tbox) q);
      Buffer.add_char buf '\n');
   Buffer.contents buf
 
@@ -98,32 +81,8 @@ let save ~dir (case : Runner.case) =
 (* ------------------------------ loading ----------------------------- *)
 
 let parse_assertion ~signature line =
-  match String.index_opt line '(' with
-  | Some i when String.length line > 1 && line.[String.length line - 1] = ')' ->
-    let pred = String.trim (String.sub line 0 i) in
-    let args_text = String.sub line (i + 1) (String.length line - i - 2) in
-    let args =
-      String.split_on_char ',' args_text
-      |> List.map (fun a ->
-             let a = String.trim a in
-             if String.length a >= 2 && a.[0] = '"' && a.[String.length a - 1] = '"'
-             then String.sub a 1 (String.length a - 2)
-             else a)
-    in
-    if Signature.mem_concept pred signature then (
-      match args with
-      | [ c ] -> Abox.Concept_assert (pred, c)
-      | _ -> fail "concept assertion %s expects one argument" line)
-    else if Signature.mem_role pred signature then (
-      match args with
-      | [ c1; c2 ] -> Abox.Role_assert (pred, c1, c2)
-      | _ -> fail "role assertion %s expects two arguments" line)
-    else if Signature.mem_attribute pred signature then (
-      match args with
-      | [ c; v ] -> Abox.Attr_assert (pred, c, v)
-      | _ -> fail "attribute assertion %s expects two arguments" line)
-    else fail "unknown predicate in assertion: %s" line
-  | _ -> fail "malformed assertion: %s" line
+  try Obda.Qparse.parse_assertion ~signature line
+  with Obda.Qparse.Parse_error e -> fail "assertion %s: %s" line e
 
 (** [of_string ~label text] parses the corpus format back into a case.
     @raise Malformed on anything unparseable. *)

@@ -186,13 +186,9 @@ let string_of_answers = function
 let database_of_abox abox =
   let db = Obda.Database.create () in
   List.iter
-    (function
-      | Abox.Concept_assert (a, c) ->
-        Obda.Database.insert db (Obda.Vabox.concept_pred a) [ c ]
-      | Abox.Role_assert (p, c1, c2) ->
-        Obda.Database.insert db (Obda.Vabox.role_pred p) [ c1; c2 ]
-      | Abox.Attr_assert (u, c, v) ->
-        Obda.Database.insert db (Obda.Vabox.attr_pred u) [ c; v ])
+    (fun a ->
+      let pred, row = Obda.Vabox.fact_of_assertion a in
+      Obda.Database.insert db pred row)
     (Abox.assertions abox);
   db
 
@@ -250,10 +246,12 @@ let indexed_answers =
 (* The served path: one process-wide Service shared across fuzz cases,
    so the fingerprint-keyed rewrite cache carries entries from case to
    case — exactly the reuse whose soundness is under test.  Every case
-   asks twice and reports the *warm* (answer-cache) result, which must
-   agree with the independently computed subjects.  Sessions are
-   per-domain (the fuzz driver runs cases on a domain pool) and reset
-   per case; the service's own mutex handles the rest. *)
+   goes through the wire front door as text (the TBox payload, the ABox
+   as FACTS lines over its tagged relations, the query), asks twice and
+   reports the *warm* (answer-cache) result, which must agree with the
+   independently computed subjects.  Sessions are per-domain (the fuzz
+   driver runs cases on a domain pool) and reset per case; the
+   service's own mutex handles the rest. *)
 let service_answers =
   let service = lazy (Server.Service.create ~config:{ Server.Service.Config.default with lru = 64 } ()) in
   {
@@ -262,11 +260,36 @@ let service_answers =
       (fun tbox abox q ->
         let t = Lazy.force service in
         let session = "fuzz-" ^ string_of_int (Domain.self () :> int) in
+        let send request =
+          match Server.Service.handle t request with
+          | Server.Wire.Ok lines -> lines
+          | Server.Wire.Err e -> failwith ("service: " ^ e)
+          | Server.Wire.Busy -> failwith "service: busy"
+        in
+        let load kind payload =
+          ignore (send (Server.Wire.Load { session; kind; payload }))
+        in
         Server.Service.drop_session t ~session;
-        Server.Service.set_tbox t ~session tbox;
-        Server.Service.add_abox t ~session abox;
-        ignore (Server.Service.ask t ~session q);
-        Tuples (Server.Service.ask t ~session q));
+        load Server.Wire.K_tbox (Server.Service.tbox_payload tbox);
+        load Server.Wire.K_facts
+          (List.map
+             (fun a ->
+               let rel, row = Obda.Vabox.fact_of_assertion a in
+               Server.Service.fact_line rel row)
+             (Abox.assertions abox));
+        let query =
+          Server.Wire.Inline
+            (Obda.Qparse.query_text ~signature:(Tbox.signature tbox) q)
+        in
+        let ask () = send (Server.Wire.Ask { session; query }) in
+        ignore (ask ());
+        (* [render_tuple]'s inverse over generated constants, which
+           hold no commas or surrounding blanks *)
+        let tuple = function
+          | "()" -> []
+          | line -> List.map String.trim (String.split_on_char ',' line)
+        in
+        Tuples (canon (List.map tuple (ask ()))));
   }
 
 let answer_subjects =

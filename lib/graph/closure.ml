@@ -12,18 +12,16 @@
       the DAG unioning descendant bit-sets.  The default: ontology
       hierarchies are mostly DAGs with a few equivalence cycles, where
       this is the fastest by a wide margin.
-    - [Par_dfs]: [Dfs] with the per-source rows computed across a domain
-      pool, one DFS row per task.
     - [Par_scc]: [Scc_condense] with the component-row expansion
       level-scheduled across a domain pool (the Tarjan pass itself stays
       sequential) and the node-row copy-out parallelized.
 
-    The parallel variants produce bit-for-bit the same closure as their
-    sequential counterparts for every job count — each row is a pure
-    function of the input graph and lands in its own slot; see
-    [Parallel.Pool] for the determinism contract.  With one job (or on a
-    single-core host, via [Parallel.Pool.global]) they degrade to the
-    sequential algorithms.
+    The parallel variant produces bit-for-bit the same closure as
+    [Scc_condense] for every job count — each row is a pure function of
+    the input graph and lands in its own slot; see [Parallel.Pool] for
+    the determinism contract.  With one job (or on a single-core host,
+    via [Parallel.Pool.global]) it degrades to the sequential
+    algorithm.
 
     Separately from the materializing algorithms, the [On_demand]
     *module* (not an [algorithm] case — it has a different type, carrying
@@ -35,20 +33,18 @@
     the logical reading ([T |= S ⊑ S] always holds) and makes the
     predecessor sets of [computeUnsat] directly usable. *)
 
-type algorithm = Dfs | Warshall | Scc_condense | Par_dfs | Par_scc
+type algorithm = Dfs | Warshall | Scc_condense | Par_scc
 
 let string_of_algorithm = function
   | Dfs -> "dfs"
   | Warshall -> "warshall"
   | Scc_condense -> "scc"
-  | Par_dfs -> "par-dfs"
   | Par_scc -> "par-scc"
 
 let algorithm_of_string = function
   | "dfs" -> Some Dfs
   | "warshall" -> Some Warshall
   | "scc" -> Some Scc_condense
-  | "par-dfs" -> Some Par_dfs
   | "par-scc" -> Some Par_scc
   | _ -> None
 
@@ -129,7 +125,6 @@ let scc_closure g =
       (Graph.successors dag c)
   done;
   (* Expand component reachability back to node granularity. *)
-  let rows = Array.init n (fun _ -> Bitvec.create n) in
   let comp_node_rows =
     Array.init r.Scc.count (fun c ->
         let row = Bitvec.create n in
@@ -137,15 +132,9 @@ let scc_closure g =
             List.iter (fun v -> Bitvec.set row v) r.Scc.members.(c'));
         row)
   in
-  for v = 0 to n - 1 do
-    rows.(v) <- Bitvec.copy comp_node_rows.(r.Scc.component.(v))
-  done;
-  { size = n; rows }
-
-let par_dfs_closure pool g =
-  let n = Graph.node_count g in
-  let rows = Array.make n (Bitvec.create 0) in
-  Parallel.Pool.parallel_for pool ~n (fun v -> rows.(v) <- Graph.reachable_from g v);
+  let rows =
+    Array.init n (fun v -> Bitvec.copy comp_node_rows.(r.Scc.component.(v)))
+  in
   { size = n; rows }
 
 let par_scc_closure pool g =
@@ -197,9 +186,9 @@ let par_scc_closure pool g =
   { size = n; rows }
 
 (** [compute ?algorithm ?pool ?jobs g] materializes the reflexive
-    transitive closure of [g].  Default algorithm: [Scc_condense].  The
-    parallel algorithms run on [pool] when given, otherwise on the
-    shared [Parallel.Pool.global ?jobs ()] (which is sequential when
+    transitive closure of [g].  Default algorithm: [Scc_condense].
+    [Par_scc] runs on [pool] when given, otherwise on the shared
+    [Parallel.Pool.global ?jobs ()] (which is sequential when
     [jobs <= 1] or the host has one core); [pool]/[jobs] are ignored by
     the sequential algorithms. *)
 let compute ?(algorithm = Scc_condense) ?pool ?jobs g =
@@ -210,7 +199,6 @@ let compute ?(algorithm = Scc_condense) ?pool ?jobs g =
   | Dfs -> dfs_closure g
   | Warshall -> warshall_closure g
   | Scc_condense -> scc_closure g
-  | Par_dfs -> par_dfs_closure (pool ()) g
   | Par_scc -> par_scc_closure (pool ()) g
 
 (** [to_graph t] is the closure as an ordinary graph, *without* the

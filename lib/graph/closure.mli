@@ -7,21 +7,20 @@
 (** Interchangeable *materializing* algorithms (ablations A1 and A8):
     per-node DFS (O(V·E)), bit-parallel Warshall (O(V³/word)), the
     default SCC-condensation pass (fastest on the near-DAG shape of
-    ontology hierarchies), and domain-pool-parallel variants of the DFS
-    and SCC algorithms.  The parallel variants are bit-for-bit equal to
-    their sequential counterparts at every job count, and degrade to
-    them at [jobs <= 1].  On-demand (non-materializing) reachability is
+    ontology hierarchies), and a domain-pool-parallel variant of the SCC
+    algorithm.  The parallel variant is bit-for-bit equal to
+    [Scc_condense] at every job count, and degrades to it at
+    [jobs <= 1].  On-demand (non-materializing) reachability is
     *not* an [algorithm] case: it has a different type and lives in the
     [On_demand] submodule below. *)
 type algorithm =
   | Dfs
   | Warshall
   | Scc_condense
-  | Par_dfs
   | Par_scc
 
 (** [string_of_algorithm a] is the CLI spelling: "dfs", "warshall",
-    "scc", "par-dfs" or "par-scc". *)
+    "scc" or "par-scc". *)
 val string_of_algorithm : algorithm -> string
 
 (** [algorithm_of_string s] parses the CLI spelling. *)
@@ -33,8 +32,8 @@ type t
 val size : t -> int
 
 (** [compute ?algorithm ?pool ?jobs g] materializes the reflexive
-    transitive closure of [g] (default: [Scc_condense]).  [Par_dfs] and
-    [Par_scc] run on [pool] when given, else on the shared
+    transitive closure of [g] (default: [Scc_condense]).  [Par_scc]
+    runs on [pool] when given, else on the shared
     [Parallel.Pool.global ?jobs ()]; both options are ignored by the
     sequential algorithms. *)
 val compute :

@@ -33,9 +33,6 @@ type t = {
   mappings : Mapping.t;
   database : Database.t;
   mode : rewriting_mode;
-  join_threshold : int option;
-      (* binding-count pivot between nested-loop and hash joins,
-         threaded into every evaluation; [None] = [Cq]'s default *)
   constraints : Constraints.t list;
       (* functionality / identification constraints, checked at the
          data level (see [Integrity]) *)
@@ -45,37 +42,29 @@ type t = {
       (* the mode's rule base, shared by rewriting and consistency *)
 }
 
-let assemble ?algorithm ?jobs ?join_threshold ~mode ~constraints ~tbox ~mappings
-    ~database () =
+let assemble ~mode ~constraints ~tbox ~mappings ~database () =
   {
     tbox;
     mappings;
     database;
     mode;
-    join_threshold;
     constraints;
-    cls = lazy (Quonto.Classify.classify ?algorithm ?jobs tbox);
+    cls = lazy (Quonto.Classify.classify tbox);
     prepared =
       (match mode with
        | Perfect_ref -> lazy (Rewrite.prepare tbox)
        | Presto -> lazy (Rewrite.prepare_presto tbox));
   }
 
-(** [create ?mode ?constraints ?algorithm ?jobs ?join_threshold ~tbox
-    ~mappings ~database ()] assembles a system.  [algorithm] / [jobs]
-    select the closure algorithm and domain-pool width for the (lazy)
-    classification; [join_threshold] pins the executor's
-    nested-loop/hash pivot — the serving layer threads its
-    [Service.Config] knobs through here.  @raise Invalid_argument when
-    the constraints violate the DL-Lite_A admissibility condition
-    w.r.t. [tbox]. *)
-let create ?(mode = Perfect_ref) ?(constraints = []) ?algorithm ?jobs
-    ?join_threshold ~tbox ~mappings ~database () =
+(** [create ?mode ?constraints ~tbox ~mappings ~database ()] assembles
+    a system.  @raise Invalid_argument when the constraints violate the
+    DL-Lite_A admissibility condition w.r.t. [tbox]. *)
+let create ?(mode = Perfect_ref) ?(constraints = []) ~tbox ~mappings ~database
+    () =
   (match Constraints.well_formed tbox constraints with
    | [] -> ()
    | v :: _ -> invalid_arg ("Engine.create: " ^ v.Constraints.reason));
-  assemble ?algorithm ?jobs ?join_threshold ~mode ~constraints ~tbox ~mappings
-    ~database ()
+  assemble ~mode ~constraints ~tbox ~mappings ~database ()
 
 (** [of_abox ?mode tbox abox] wraps a materialized ABox as a degenerate
     OBDA system: one identity-style mapping per named predicate is not
@@ -84,12 +73,9 @@ let create ?(mode = Perfect_ref) ?(constraints = []) ?algorithm ?jobs
 let of_abox ?(mode = Perfect_ref) tbox abox =
   let database = Database.create () in
   List.iter
-    (function
-      | Abox.Concept_assert (a, c) -> Database.insert database (Vabox.concept_pred a) [ c ]
-      | Abox.Role_assert (p, c1, c2) ->
-        Database.insert database (Vabox.role_pred p) [ c1; c2 ]
-      | Abox.Attr_assert (u, c, v) ->
-        Database.insert database (Vabox.attr_pred u) [ c; v ])
+    (fun a ->
+      let pred, row = Vabox.fact_of_assertion a in
+      Database.insert database pred row)
     (Abox.assertions abox);
   assemble ~mode ~constraints:[] ~tbox ~mappings:[] ~database ()
 
@@ -134,8 +120,7 @@ let compile t ucq =
     index rebuild). *)
 let evaluate_compiled t ucq =
   Obs.span "eval" (fun () ->
-      Cq.evaluate_ucq_src ?join_threshold:t.join_threshold
-        ~source:(Database.source t.database) ucq)
+      Cq.evaluate_ucq_src ~source:(Database.source t.database) ucq)
 
 (** [certain_answers t q] — the full pipeline.  With mappings installed
     the rewriting is *unfolded* and evaluated over the raw database;

@@ -124,11 +124,7 @@ let unfold (mappings : t) (q : Cq.t) : Cq.ucq =
     match body with
     | [] -> [ [] ]
     | atom :: rest ->
-      if String.length atom.Cq.pred > 2
-         && (String.sub atom.Cq.pred 0 2 = "c$"
-             || String.sub atom.Cq.pred 0 2 = "r$"
-             || String.sub atom.Cq.pred 0 2 = "a$")
-      then
+      if Option.is_some (Vabox.split_pred atom.Cq.pred) then
         List.concat_map
           (fun (src_atoms, subst) ->
             (* apply the reverse bindings of this expansion to the rest *)

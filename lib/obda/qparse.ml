@@ -15,57 +15,97 @@ exception Parse_error of string
 
 let fail fmt = Format.kasprintf (fun m -> raise (Parse_error m)) fmt
 
-(* --- tokenizing a term list "x, y, \"lit\"" -------------------------- *)
+(* --- the one PRED(args) splitter --------------------------------- *)
 
-let parse_term s =
-  let s = String.trim s in
-  if s = "" then fail "empty term"
-  else if s.[0] = '"' then
-    if String.length s >= 2 && s.[String.length s - 1] = '"' then
-      Cq.Const (String.sub s 1 (String.length s - 2))
-    else fail "unterminated constant %s" s
-  else Cq.Var s
+(* The splitter works on a span [text.[a..b-1]] of a larger text, so a
+   facts payload is parsed in place: one pass, and one [String.sub] per
+   predicate and per argument. *)
 
-(* split "p(a, b), q(c)" into atom chunks, respecting parentheses *)
+let is_space c = c = ' ' || c = '\t' || c = '\r' || c = '\n' || c = '\012'
+
+(* the first index of [c] in [text.[i..b-1]], or [-1] *)
+let rec index_in text c i b =
+  if i >= b then -1 else if text.[i] = c then i else index_in text c (i + 1) b
+
+(* [skip_blanks] / [trim_end]: the span [text.[a..b-1]] without its
+   leading / trailing blanks *)
+let rec skip_blanks text a b =
+  if a < b && is_space text.[a] then skip_blanks text (a + 1) b else a
+
+let rec trim_end text a b =
+  if b > a && is_space text.[b - 1] then trim_end text a (b - 1) else b
+
+(* one argument [text.[a..b-1]], trimmed, as [arg ~quoted v]: [v] with
+   its double quotes stripped, [quoted] whether it had them *)
+let field ~arg text a b =
+  let a = skip_blanks text a b in
+  let b = trim_end text a b in
+  if a = b then fail "empty term"
+  else if text.[a] <> '"' then arg ~quoted:false (String.sub text a (b - a))
+  else if b - a >= 2 && text.[b - 1] = '"' then
+    arg ~quoted:true (String.sub text (a + 1) (b - a - 2))
+  else fail "unterminated constant %s" (String.sub text a (b - a))
+
+(* the arguments in [text.[from..stop-1]], split on the commas outside
+   double quotes *)
+let rec fields ~arg text stop from j quoted =
+  if j = stop then [ field ~arg text from j ]
+  else
+    match text.[j] with
+    | '"' -> fields ~arg text stop from (j + 1) (not quoted)
+    | ',' when not quoted ->
+      let f = field ~arg text from j in
+      f :: fields ~arg text stop (j + 1) (j + 1) quoted
+    | _ -> fields ~arg text stop from (j + 1) quoted
+
+(* [split_span ~arg text a b] is [Some (pred, args)] when [text.[a..b-1]]
+   reads [PRED(a, "b, c")], [None] when it is not of that shape.  Commas
+   inside double quotes do not split; [PRED()] has no arguments.
+   @raise Parse_error on an empty or unterminated argument. *)
+let split_span ~arg text a b =
+  let a = skip_blanks text a b in
+  let b = trim_end text a b in
+  let i = index_in text '(' a b in
+  if i < 0 || text.[b - 1] <> ')' then None
+  else
+    let stop = b - 1 in
+    let args =
+      if skip_blanks text (i + 1) stop = stop then []
+      else fields ~arg text stop (i + 1) (i + 1) false
+    in
+    Some (String.sub text a (trim_end text a i - a), args)
+
+(* query and mapping atoms: quoted arguments are constants, bare ones
+   variables *)
+let term ~quoted v = if quoted then Cq.Const v else Cq.Var v
+
+(* ground facts and assertions: every argument is a constant *)
+let value ~quoted:_ v = v
+
+(* split "p(a, b), q(c)" into atom chunks, respecting parentheses and
+   quotes *)
 let split_atoms body =
   let chunks = ref [] in
-  let buf = Buffer.create 32 in
-  let depth = ref 0 in
-  String.iter
-    (fun c ->
+  let depth = ref 0 and quoted = ref false and from = ref 0 in
+  String.iteri
+    (fun j c ->
       match c with
-      | '(' ->
-        incr depth;
-        Buffer.add_char buf c
-      | ')' ->
-        decr depth;
-        Buffer.add_char buf c
-      | ',' when !depth = 0 ->
-        chunks := Buffer.contents buf :: !chunks;
-        Buffer.clear buf
-      | c -> Buffer.add_char buf c)
+      | '"' -> quoted := not !quoted
+      | '(' when not !quoted -> incr depth
+      | ')' when not !quoted -> decr depth
+      | ',' when !depth = 0 && not !quoted ->
+        chunks := String.sub body !from (j - !from) :: !chunks;
+        from := j + 1
+      | _ -> ())
     body;
-  if String.trim (Buffer.contents buf) <> "" then
-    chunks := Buffer.contents buf :: !chunks;
+  let last = String.sub body !from (String.length body - !from) in
+  if String.trim last <> "" then chunks := last :: !chunks;
   List.rev_map String.trim !chunks
 
 let parse_atom ~signature chunk =
-  match String.index_opt chunk '(' with
-  | Some i when String.length chunk > 1 && chunk.[String.length chunk - 1] = ')' ->
-    let pred = String.trim (String.sub chunk 0 i) in
-    let args_text = String.sub chunk (i + 1) (String.length chunk - i - 2) in
-    let args =
-      if String.trim args_text = "" then []
-      else List.map parse_term (String.split_on_char ',' args_text)
-    in
-    let tagged =
-      if Signature.mem_concept pred signature then Vabox.concept_pred pred
-      else if Signature.mem_role pred signature then Vabox.role_pred pred
-      else if Signature.mem_attribute pred signature then Vabox.attr_pred pred
-      else pred
-    in
-    Cq.atom tagged args
-  | _ -> fail "malformed atom: %s" chunk
+  match split_span ~arg:term chunk 0 (String.length chunk) with
+  | Some (pred, args) -> Cq.atom (Vabox.pred_of_name signature pred) args
+  | None -> fail "malformed atom: %s" chunk
 
 let split_arrow text =
   (* find the first "<-" at depth 0 *)
@@ -120,18 +160,11 @@ let parse_mappings ~signature text =
           try Cq.make head_vars body_atoms
           with Invalid_argument m -> fail "line %d: %s" line_no m
         in
-        let strip p = String.sub p 2 (String.length p - 2) in
         let target =
-          match head_atom.Cq.args with
-          | [ t ] when String.length head_atom.Cq.pred > 2
-                       && String.sub head_atom.Cq.pred 0 2 = "c$" ->
-            Mapping.Concept_head (strip head_atom.Cq.pred, t)
-          | [ t1; t2 ] when String.length head_atom.Cq.pred > 2
-                            && String.sub head_atom.Cq.pred 0 2 = "r$" ->
-            Mapping.Role_head (strip head_atom.Cq.pred, t1, t2)
-          | [ t1; t2 ] when String.length head_atom.Cq.pred > 2
-                            && String.sub head_atom.Cq.pred 0 2 = "a$" ->
-            Mapping.Attr_head (strip head_atom.Cq.pred, t1, t2)
+          match Vabox.split_pred head_atom.Cq.pred, head_atom.Cq.args with
+          | Some (`Concept, a), [ t ] -> Mapping.Concept_head (a, t)
+          | Some (`Role, p), [ t1; t2 ] -> Mapping.Role_head (p, t1, t2)
+          | Some (`Attr, u), [ t1; t2 ] -> Mapping.Attr_head (u, t1, t2)
           | _ ->
             fail "line %d: head %s is not an ontology predicate of the right arity"
               line_no head_atom.Cq.pred
@@ -144,52 +177,91 @@ let parse_mappings ~signature text =
   |> List.mapi (fun i raw -> parse_line (i + 1) raw)
   |> List.filter_map Fun.id
 
+(* [map_lines f text] is [f text a b] for each line [text.[a..b-1]]
+   (trimmed) of [text] that is neither blank nor a [#] comment, in
+   order: one pass over [text], no copy of its lines.  A [Parse_error]
+   from [f] is prefixed with the line number, counted from 1. *)
+let map_lines f text =
+  let n = String.length text in
+  let[@tail_mod_cons] rec go line_no start =
+    if start > n then []
+    else
+      let eol = match index_in text '\n' start n with -1 -> n | e -> e in
+      let a = skip_blanks text start eol in
+      let b = trim_end text a eol in
+      if a = b || text.[a] = '#' then go (line_no + 1) (eol + 1)
+      else
+        let x = try f text a b with Parse_error m -> fail "line %d: %s" line_no m in
+        x :: go (line_no + 1) (eol + 1)
+  in
+  go 1 0
+
 (** [parse_facts text] parses ground facts, one per line:
-    [rel(a, b, c)] (bare arguments are constants here; [#] comments and
-    blank lines skipped).  Pure: raises [Parse_error] on the first
+    [rel(a, "b, c")] (bare arguments are constants here; [#] comments
+    and blank lines skipped).  Pure: raises [Parse_error] on the first
     malformed line without any side effect, so callers can load the
     returned rows atomically — all or nothing. *)
 let parse_facts text =
-  String.split_on_char '\n' text
-  |> List.mapi (fun i raw ->
-         let line = String.trim raw in
-         if line = "" || line.[0] = '#' then None
-         else
-           match String.index_opt line '(' with
-           | Some j when line.[String.length line - 1] = ')' ->
-             let rel = String.trim (String.sub line 0 j) in
-             let args_text = String.sub line (j + 1) (String.length line - j - 2) in
-             (* split on commas outside double quotes *)
-             let chunks = ref [] in
-             let buf = Buffer.create 16 in
-             let in_quotes = ref false in
-             String.iter
-               (fun c ->
-                 match c with
-                 | '"' ->
-                   in_quotes := not !in_quotes;
-                   Buffer.add_char buf c
-                 | ',' when not !in_quotes ->
-                   chunks := Buffer.contents buf :: !chunks;
-                   Buffer.clear buf
-                 | c -> Buffer.add_char buf c)
-               args_text;
-             chunks := Buffer.contents buf :: !chunks;
-             let row =
-               List.rev_map
-                 (fun a ->
-                   let a = String.trim a in
-                   if String.length a >= 2 && a.[0] = '"' then
-                     String.sub a 1 (String.length a - 2)
-                   else a)
-                 !chunks
-             in
-             Some (rel, row)
-           | _ -> fail "line %d: expected rel(arg, ...)" (i + 1))
-  |> List.filter_map Fun.id
+  map_lines
+    (fun text a b ->
+      match split_span ~arg:value text a b with
+      | Some row -> row
+      | None -> fail "expected rel(arg, ...)")
+    text
+
+(* the assertion [text.[a..b-1]] *)
+let assertion ~signature text a b =
+  match split_span ~arg:value text a b with
+  | None -> fail "expected PRED(args)"
+  | Some (name, args) -> (
+    match args with
+    | [ c ] when Signature.mem_concept name signature ->
+      Abox.Concept_assert (name, c)
+    | [ c1; c2 ] when Signature.mem_role name signature ->
+      Abox.Role_assert (name, c1, c2)
+    | [ c; v ] when Signature.mem_attribute name signature ->
+      Abox.Attr_assert (name, c, v)
+    | _ -> fail "%s is not a signature predicate of this arity" name)
+
+(** [parse_assertion ~signature line] parses one ABox assertion
+    [PRED(args)] whose predicate is a concept (one argument), role or
+    attribute (two) of [signature].  Arguments are constants, quoted or
+    bare.  @raise Parse_error otherwise. *)
+let parse_assertion ~signature line =
+  assertion ~signature line 0 (String.length line)
+
+(** [parse_abox ~signature text] parses ABox assertions, one per line
+    ([#] comments and blank lines skipped); errors carry the line
+    number. *)
+let parse_abox ~signature text = map_lines (assertion ~signature) text
 
 (** [load_facts db text] loads [parse_facts text] into [db]; the parse
     completes before the first insert, so a [Parse_error] leaves [db]
     untouched. *)
 let load_facts db text =
   List.iter (fun (rel, row) -> Database.insert db rel row) (parse_facts text)
+
+(* --- rendering: the text the parsers above read back --------------- *)
+
+let quote v = "\"" ^ v ^ "\""
+
+(** [fact_line rel row] — a [parse_facts] line; arguments are always
+    quoted, so values that happen to look like syntax round-trip. *)
+let fact_line rel row =
+  Printf.sprintf "%s(%s)" rel (String.concat ", " (List.map quote row))
+
+let term_text = function Cq.Var v -> v | Cq.Const c -> quote c
+
+(** [atom_text ~signature a] — the text [parse_atom ~signature] reads
+    back as [a] (see {!Vabox.name_of_pred}). *)
+let atom_text ~signature { Cq.pred; args } =
+  Printf.sprintf "%s(%s)"
+    (Vabox.name_of_pred signature pred)
+    (String.concat ", " (List.map term_text args))
+
+(** [query_text ~signature q] — the text [parse_query ~signature] reads
+    back as [q]. *)
+let query_text ~signature q =
+  String.concat ", " q.Cq.answer_vars
+  ^ " <- "
+  ^ String.concat ", " (List.map (atom_text ~signature) q.Cq.body)

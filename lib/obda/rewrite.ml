@@ -209,14 +209,12 @@ let atom_rewritings idx q g =
     | Cq.Var v -> Cq.is_bound q v
   in
   let basic_atom b t = Vabox.atom_of_basic b t ~fresh:(fresh_var ()) in
-  match g.Cq.pred, g.Cq.args with
-  | pred, [ t ] when String.length pred > 2 && String.sub pred 0 2 = "c$" ->
-    let a = String.sub pred 2 (String.length pred - 2) in
+  match Vabox.split_pred g.Cq.pred, g.Cq.args with
+  | Some (`Concept, a), [ t ] ->
     List.map
       (fun b -> basic_atom b t)
       (Option.value ~default:[] (Hashtbl.find_opt idx.concept_into a))
-  | pred, [ t1; t2 ] when String.length pred > 2 && String.sub pred 0 2 = "r$" ->
-    let p = String.sub pred 2 (String.length pred - 2) in
+  | Some (`Role, p), [ t1; t2 ] ->
     let via_roles =
       List.map
         (fun q1 ->
@@ -242,8 +240,7 @@ let atom_rewritings idx q g =
       else []
     in
     via_roles @ via_exists @ via_exists_inv
-  | pred, [ t1; t2 ] when String.length pred > 2 && String.sub pred 0 2 = "a$" ->
-    let u = String.sub pred 2 (String.length pred - 2) in
+  | Some (`Attr, u), [ t1; t2 ] ->
     let via_attrs =
       List.map
         (fun v -> Cq.atom (Vabox.attr_pred v) [ t1; t2 ])

@@ -2,7 +2,7 @@
 
     One process-wide vocabulary of metrics replaces the ad-hoc stats
     that used to live in each layer ([Service.op_stats], [Lru.stats],
-    [Executor.stats]).  Three metric kinds:
+    the executor's hand-kept counters).  Three metric kinds:
 
     - {e counters} — monotonically increasing integers ([Atomic.t], so
       increments from any number of domains lose no counts);

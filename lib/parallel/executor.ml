@@ -17,16 +17,6 @@
     no timed waits are needed here — callers that want a timeout poll
     their own result cell. *)
 
-type stats = {
-  submitted : int;   (** accepted by [try_submit] *)
-  rejected : int;    (** refused: queue full or shutting down *)
-  completed : int;   (** tasks that finished running *)
-  queued : int;      (** currently waiting *)
-  running : int;     (** currently executing *)
-  workers : int;
-  queue_capacity : int;
-}
-
 (* Registry handles resolved once at [create]: the per-event updates on
    the hot path are then a counter increment / gauge store each. *)
 type metrics = {
@@ -43,16 +33,12 @@ type t = {
   idle : Condition.t;  (** signalled whenever queue and running reach 0 *)
   queue : (unit -> unit) Queue.t;
   queue_capacity : int;
-  workers : int;
   metrics : metrics option;
   mutable domains : unit Domain.t array;
   mutable paused : bool;
   mutable draining : bool;  (** no new admissions; drain what is queued *)
   mutable stop : bool;
   mutable running : int;
-  mutable submitted : int;
-  mutable rejected : int;
-  mutable completed : int;
 }
 
 (* call with t.mutex held *)
@@ -80,7 +66,6 @@ let worker t =
       (try task () with _ -> ());
       Mutex.lock t.mutex;
       t.running <- t.running - 1;
-      t.completed <- t.completed + 1;
       (match t.metrics with
        | None -> ()
        | Some m -> Obs.Counter.incr m.m_completed);
@@ -126,16 +111,12 @@ let create ?registry ~workers ~queue_capacity () =
       idle = Condition.create ();
       queue = Queue.create ();
       queue_capacity = max 1 queue_capacity;
-      workers;
       metrics;
       domains = [||];
       paused = false;
       draining = false;
       stop = false;
       running = 0;
-      submitted = 0;
-      rejected = 0;
-      completed = 0;
     }
   in
   t.domains <- Array.init workers (fun _ -> Domain.spawn (fun () -> worker t));
@@ -148,7 +129,6 @@ let try_submit t task =
   Mutex.lock t.mutex;
   let admitted =
     if t.draining || t.stop || Queue.length t.queue >= t.queue_capacity then begin
-      t.rejected <- t.rejected + 1;
       (match t.metrics with
        | None -> ()
        | Some m -> Obs.Counter.incr m.m_rejected);
@@ -156,7 +136,6 @@ let try_submit t task =
     end
     else begin
       Queue.push task t.queue;
-      t.submitted <- t.submitted + 1;
       (match t.metrics with
        | None -> ()
        | Some m -> Obs.Counter.incr m.m_submitted);
@@ -211,19 +190,3 @@ let shutdown t =
   Mutex.unlock t.mutex;
   Array.iter Domain.join t.domains;
   t.domains <- [||]
-
-let stats t =
-  Mutex.lock t.mutex;
-  let s =
-    {
-      submitted = t.submitted;
-      rejected = t.rejected;
-      completed = t.completed;
-      queued = Queue.length t.queue;
-      running = t.running;
-      workers = t.workers;
-      queue_capacity = t.queue_capacity;
-    }
-  in
-  Mutex.unlock t.mutex;
-  s

@@ -35,8 +35,12 @@
     (classifications, compiled UCQs) are immutable, so concurrent reads
     need no lock.
 
+    One front door: every mutation and ask arrives as a wire request
+    through {!handle} — from the server, the replica applier, recovery
+    and embedders alike.
+
     Durability: with a {!Durable.Store.t} attached, every mutation
-    (LOAD, PREPARE and their typed equivalents) is validated, then
+    (LOAD, BULK, PREPARE) is validated, then
     appended to the write-ahead log and fsync'd, and only then applied
     and acknowledged — so an acknowledged mutation is always on disk,
     and a WAL refusal (injected or real I/O failure) turns into an
@@ -61,11 +65,6 @@ module Config = struct
   type t = {
     mode : Obda.Engine.rewriting_mode;  (** rewriting algorithm *)
     lru : int;  (** capacity of the rewrite and per-session answer caches *)
-    algorithm : Graphlib.Closure.algorithm option;
-        (** closure algorithm for classification; [None] = library default *)
-    jobs : int option;  (** domain-pool width for parallel closure *)
-    join_threshold : int option;
-        (** executor's nested-loop/hash pivot; [None] = [Cq] default *)
     slow_log_s : float;
         (** spans and ops slower than this are logged; [infinity] disables *)
     chaos : bool;  (** honour the [FAIL] wire verb *)
@@ -75,9 +74,6 @@ module Config = struct
     {
       mode = Obda.Engine.Perfect_ref;
       lru = 256;
-      algorithm = None;
-      jobs = None;
-      join_threshold = None;
       slow_log_s = infinity;
       chaos = false;
     }
@@ -229,12 +225,7 @@ let fp_mappings mappings =
    [Qparse.parse_mappings], [Qparse.parse_facts]), so recovery is the
    normal load path — not a second deserializer that could drift.       *)
 
-let quote v = "\"" ^ v ^ "\""
-
-(* always-quoted arguments: [parse_facts] strips the quotes back off, so
-   values that happen to look like syntax round-trip *)
-let fact_line rel row =
-  Printf.sprintf "%s(%s)" rel (String.concat ", " (List.map quote row))
+let fact_line = Obda.Qparse.fact_line
 
 (* [Tbox.to_string] prints axioms only; replay also needs the declared
    vocabulary (classification reports axiom-free names, and mapping /
@@ -246,49 +237,29 @@ let tbox_payload tbox =
   @ List.map (fun a -> "attr " ^ a) (Signature.attributes sg)
   @ List.map Syntax.axiom_to_string (Tbox.axioms tbox)
 
-let term_text = function
-  | Obda.Cq.Var v -> v
-  | Obda.Cq.Const c -> quote c
+let head_text = function
+  | Obda.Mapping.Concept_head (a, t) ->
+    Printf.sprintf "%s(%s)" a (Obda.Qparse.term_text t)
+  | Obda.Mapping.Role_head (p, t1, t2) ->
+    Printf.sprintf "%s(%s, %s)" p (Obda.Qparse.term_text t1)
+      (Obda.Qparse.term_text t2)
+  | Obda.Mapping.Attr_head (u, t, v) ->
+    Printf.sprintf "%s(%s, %s)" u (Obda.Qparse.term_text t)
+      (Obda.Qparse.term_text v)
 
 (* body atoms print untagged when the sort tag came from [signature] —
-   the replay parse against the same signature re-tags them identically;
-   a predicate that merely looks tagged is left alone and rides through
-   as a raw database relation, exactly as it parsed originally *)
-let atom_text signature { Obda.Cq.pred; args } =
-  let pred =
-    if String.length pred > 2 && pred.[1] = '$' then begin
-      let base = String.sub pred 2 (String.length pred - 2) in
-      match pred.[0] with
-      | 'c' when Signature.mem_concept base signature -> base
-      | 'r' when Signature.mem_role base signature -> base
-      | 'a' when Signature.mem_attribute base signature -> base
-      | _ -> pred
-    end
-    else pred
-  in
-  Printf.sprintf "%s(%s)" pred (String.concat ", " (List.map term_text args))
-
-let head_text = function
-  | Obda.Mapping.Concept_head (a, t) -> Printf.sprintf "%s(%s)" a (term_text t)
-  | Obda.Mapping.Role_head (p, t1, t2) ->
-    Printf.sprintf "%s(%s, %s)" p (term_text t1) (term_text t2)
-  | Obda.Mapping.Attr_head (u, t, v) ->
-    Printf.sprintf "%s(%s, %s)" u (term_text t) (term_text v)
-
+   the replay parse against the same signature re-tags them identically *)
 let mappings_payload signature mappings =
   List.map
     (fun m ->
       Printf.sprintf "map %s <- %s"
         (head_text m.Obda.Mapping.target)
         (String.concat ", "
-           (List.map (atom_text signature) m.Obda.Mapping.source.Obda.Cq.body)))
+           (List.map (Obda.Qparse.atom_text ~signature)
+              m.Obda.Mapping.source.Obda.Cq.body)))
     mappings
 
 (* ------------------------- log before apply ------------------------- *)
-
-(** Raised by the typed write API when the WAL refuses a mutation (an
-    injected failpoint or a real I/O error); nothing was applied. *)
-exception Durability of string
 
 let log_mutation t m =
   match t.store with
@@ -319,19 +290,11 @@ let log_load t s kind payload =
     (Durable.Store.Load
        { session = s.sname; kind = Wire.string_of_kind kind; payload })
 
-(* the typed-API flavour: refusal is an exception, not a reply *)
-let logged t s kind payload =
-  match log_load t s kind payload with
-  | Result.Ok () -> ()
-  | Result.Error e -> raise (Durability e)
-
 (* ------------------------------ sessions ---------------------------- *)
 
 let rebuild_engine t s =
   s.engine <-
-    Obda.Engine.create ~mode:t.config.Config.mode
-      ?algorithm:t.config.Config.algorithm ?jobs:t.config.Config.jobs
-      ?join_threshold:t.config.Config.join_threshold ~tbox:s.tbox
+    Obda.Engine.create ~mode:t.config.Config.mode ~tbox:s.tbox
       ~mappings:s.mappings ~database:s.database ()
 
 let bump s = s.version <- s.version + 1
@@ -346,9 +309,7 @@ let fresh_session t name =
     mappings = [];
     database;
     engine =
-      Obda.Engine.create ~mode:t.config.Config.mode
-        ?algorithm:t.config.Config.algorithm ?jobs:t.config.Config.jobs
-        ?join_threshold:t.config.Config.join_threshold ~tbox ~mappings:[]
+      Obda.Engine.create ~mode:t.config.Config.mode ~tbox ~mappings:[]
         ~database ();
     version = 0;
     tbox_fp = Tbox.fingerprint tbox;
@@ -387,45 +348,26 @@ let session_names t =
 (* All [op_*] functions assume the session's mutex is held; the shared
    caches they touch are guarded internally by [cache_mutex].           *)
 
-(* [?source] is the payload text the mutation arrived as (wire LOADs);
-   typed calls render an equivalent one — either way the session keeps
-   the replay text its current state can be rebuilt from *)
-let op_set_tbox t s ?source tbox =
+(* [source] is the payload text the mutation arrived as: the session
+   keeps the replay text its current state can be rebuilt from *)
+let op_set_tbox t s ~source tbox =
   s.tbox <- tbox;
   s.tbox_fp <- Tbox.fingerprint tbox;
-  s.d_tbox_text <-
-    (match source with Some p -> p | None -> tbox_payload tbox);
+  s.d_tbox_text <- source;
   rebuild_engine t s;
   bump s
 
-let op_set_mappings t s ?source mappings =
-  let text =
-    match source with
-    | Some p -> p
-    | None -> mappings_payload (Tbox.signature s.tbox) mappings
-  in
+let op_set_mappings t s ~source mappings =
   (* mapping text parses against the signature in force *now*: remember
      the TBox text it was loaded under, for snapshot compaction *)
-  s.d_map <- Some (s.d_tbox_text, text);
+  s.d_map <- Some (s.d_tbox_text, source);
   s.mappings <- mappings;
   s.map_fp <- fp_mappings mappings;
   rebuild_engine t s;
   bump s
 
-let op_insert_fact _t s rel row =
-  Obda.Database.insert s.database rel row;
-  bump s
-
-let op_add_abox _t s abox =
-  List.iter
-    (function
-      | Abox.Concept_assert (a, c) ->
-        Obda.Database.insert s.database (Obda.Vabox.concept_pred a) [ c ]
-      | Abox.Role_assert (p, c1, c2) ->
-        Obda.Database.insert s.database (Obda.Vabox.role_pred p) [ c1; c2 ]
-      | Abox.Attr_assert (u, c, v) ->
-        Obda.Database.insert s.database (Obda.Vabox.attr_pred u) [ c; v ])
-    (Abox.assertions abox);
+let op_insert_facts s rows =
+  List.iter (fun (rel, row) -> Obda.Database.insert s.database rel row) rows;
   bump s
 
 let op_classification t s =
@@ -567,73 +509,6 @@ let maybe_snapshot t =
     inline. *)
 let set_snapshot_executor t exec = t.snapshot_exec <- Some exec
 
-(* ------------------------- typed (embedded) API --------------------- *)
-(* The API the conformance subject, the QCheck properties and the serve
-   benchmark drive directly; the wire layer below maps onto the same
-   operations. *)
-
-exception Unknown_session of string
-
-(* write operations materialize the session; read operations must not —
-   a mistyped name answering from a silently created empty KB would
-   mask the caller's error *)
-let write_op t name op f =
-  let s = get_or_create_session t name in
-  let result = locked s.smutex (fun () -> timed t op (fun () -> f s)) in
-  maybe_snapshot t;
-  result
-
-let read_op t name op f =
-  match find_session t name with
-  | None -> raise (Unknown_session name)
-  | Some s -> locked s.smutex (fun () -> timed t op (fun () -> f s))
-
-(* each write renders its replay text and logs it before applying;
-   @raise Durability when the WAL refuses (nothing applied) *)
-
-let set_tbox t ~session:name tbox =
-  write_op t name "load" (fun s ->
-      let payload = tbox_payload tbox in
-      logged t s Wire.K_tbox payload;
-      op_set_tbox t s ~source:payload tbox)
-
-let set_mappings t ~session:name mappings =
-  write_op t name "load" (fun s ->
-      let payload = mappings_payload (Tbox.signature s.tbox) mappings in
-      logged t s Wire.K_mappings payload;
-      op_set_mappings t s ~source:payload mappings)
-
-let add_abox t ~session:name abox =
-  write_op t name "load" (fun s ->
-      (* ABox assertions materialize as their tagged relations, so they
-         log (and replay) as plain FACTS lines *)
-      let lines =
-        List.map
-          (function
-            | Abox.Concept_assert (a, c) ->
-              fact_line (Obda.Vabox.concept_pred a) [ c ]
-            | Abox.Role_assert (p, c1, c2) ->
-              fact_line (Obda.Vabox.role_pred p) [ c1; c2 ]
-            | Abox.Attr_assert (u, c, v) ->
-              fact_line (Obda.Vabox.attr_pred u) [ c; v ])
-          (Abox.assertions abox)
-      in
-      logged t s Wire.K_facts lines;
-      op_add_abox t s abox)
-
-let insert_fact t ~session:name rel row =
-  write_op t name "load" (fun s ->
-      logged t s Wire.K_facts [ fact_line rel row ];
-      op_insert_fact t s rel row)
-
-(** [ask t ~session q] — cached certain answers, canonical order.
-    @raise Unknown_session when no such session was ever loaded. *)
-let ask t ~session:name q = read_op t name "ask" (fun s -> op_ask t s q)
-
-(** @raise Unknown_session when no such session was ever loaded. *)
-let classification t ~session:name =
-  read_op t name "classify" (fun s -> op_classification t s)
-
 (** [drop_session t ~session] forgets the session entirely (its answer
     cache goes with it, and that cache's metrics leave the registry;
     service-wide caches are untouched — their keys are fingerprints,
@@ -647,11 +522,6 @@ let drop_session t ~session:name =
   with
   | None -> ()
   | Some s -> Lru.unregister s.answers
-
-let version t ~session:name =
-  match find_session t name with
-  | Some s -> locked s.smutex (fun () -> s.version)
-  | None -> 0
 
 (* ------------------------------- stats ------------------------------ *)
 
@@ -755,47 +625,6 @@ let hit_rates t =
   locked t.cache_mutex (fun () ->
       (Lru.hit_rate t.rewrites, Lru.hit_rate t.classifications))
 
-(* --------------------------- ABox text parsing ---------------------- *)
-
-exception Bad_line of string
-
-let parse_abox_lines signature lines =
-  let parse_line i raw =
-    let line = String.trim raw in
-    if line = "" || line.[0] = '#' then None
-    else
-      match String.index_opt line '(' with
-      | Some j when String.length line > 0 && line.[String.length line - 1] = ')'
-        ->
-        let name = String.trim (String.sub line 0 j) in
-        let args_text = String.sub line (j + 1) (String.length line - j - 2) in
-        let args =
-          String.split_on_char ',' args_text
-          |> List.map (fun a ->
-                 let a = String.trim a in
-                 if String.length a >= 2 && a.[0] = '"'
-                    && a.[String.length a - 1] = '"'
-                 then String.sub a 1 (String.length a - 2)
-                 else a)
-          |> List.filter (fun a -> a <> "")
-        in
-        (match args with
-         | [ c ] when Signature.mem_concept name signature ->
-           Some (Abox.Concept_assert (name, c))
-         | [ c1; c2 ] when Signature.mem_role name signature ->
-           Some (Abox.Role_assert (name, c1, c2))
-         | [ c; v ] when Signature.mem_attribute name signature ->
-           Some (Abox.Attr_assert (name, c, v))
-         | _ ->
-           raise
-             (Bad_line
-                (Printf.sprintf
-                   "line %d: %s is not a signature predicate of this arity"
-                   (i + 1) name)))
-      | _ -> raise (Bad_line (Printf.sprintf "line %d: expected PRED(args)" (i + 1)))
-  in
-  List.mapi parse_line lines |> List.filter_map Fun.id
-
 (* ------------------------------ wire layer -------------------------- *)
 
 let render_tuple = function
@@ -826,20 +655,18 @@ let handle_load ?(log = true) t s kind payload =
     | mappings -> commit (fun () -> op_set_mappings t s ~source:payload mappings)
     | exception Obda.Qparse.Parse_error e -> Wire.Err ("mappings: " ^ e))
   | Wire.K_abox -> (
-    match parse_abox_lines (Tbox.signature s.tbox) payload with
-    | assertions -> commit (fun () -> op_add_abox t s (Abox.of_list assertions))
-    | exception Bad_line e -> Wire.Err ("abox: " ^ e))
+    (* ABox assertions materialize as their tagged relations *)
+    match Obda.Qparse.parse_abox ~signature:(Tbox.signature s.tbox) text with
+    | assertions ->
+      commit (fun () ->
+          op_insert_facts s (List.map Obda.Vabox.fact_of_assertion assertions))
+    | exception Obda.Qparse.Parse_error e -> Wire.Err ("abox: " ^ e))
   | Wire.K_facts -> (
     (* parse fully before the first insert: a malformed line must leave
        the database untouched, or the unchanged version would keep
        serving pre-load answers from the cache over a half-loaded KB *)
     match Obda.Qparse.parse_facts text with
-    | rows ->
-      commit (fun () ->
-          List.iter
-            (fun (rel, row) -> Obda.Database.insert s.database rel row)
-            rows;
-          bump s)
+    | rows -> commit (fun () -> op_insert_facts s rows)
     | exception Obda.Qparse.Parse_error e -> Wire.Err ("facts: " ^ e))
 
 (* ------------------------- streaming bulk load ----------------------- *)
@@ -929,7 +756,7 @@ let is_mutation = function
     false
 
 (** [handle t request] — the service behind the wire protocol.  Pure
-    mapping of requests onto the typed operations above; handlers may be
+    mapping of requests onto the operations above; handlers may be
     invoked from any worker, and requests lock only their own session,
     so distinct sessions are served in parallel.  [Quit] is acknowledged
     here but connection teardown is the server's business.

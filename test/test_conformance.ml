@@ -44,20 +44,44 @@ let test_corpus_replay () =
   List.iter check_agrees cases
 
 let test_corpus_roundtrip () =
-  let rng = Ontgen.Rng.create 2024 in
-  let tbox = Ontgen.Casegen.tbox rng in
-  let abox = Ontgen.Casegen.abox rng in
-  let q = Ontgen.Casegen.query rng in
-  let case = { Runner.label = "roundtrip"; tbox; data = Some (abox, q) } in
-  let case' = Corpus.of_string ~label:"roundtrip" (Corpus.to_string case) in
-  Alcotest.(check bool) "tbox survives" true (Dllite.Tbox.equal tbox case'.Runner.tbox);
-  match case'.Runner.data with
-  | None -> Alcotest.fail "data section lost"
-  | Some (abox', q') ->
-    Alcotest.(check bool) "abox survives" true
-      (Dllite.Abox.assertions abox = Dllite.Abox.assertions abox');
-    Alcotest.(check string) "query survives" (Obda.Cq.to_string q)
-      (Obda.Cq.to_string q')
+  let generated =
+    let rng = Ontgen.Rng.create 2024 in
+    let tbox = Ontgen.Casegen.tbox rng in
+    let abox = Ontgen.Casegen.abox rng in
+    (tbox, abox, Ontgen.Casegen.query rng)
+  in
+  (* an attribute value and a query constant holding a comma *)
+  let quoted_comma =
+    let tbox =
+      match Dllite.Parser.tbox_of_string "concept A\nattr name\nA [= delta(name)" with
+      | Ok t -> t
+      | Error e -> Alcotest.fail e
+    in
+    let abox =
+      Dllite.Abox.of_list
+        [ Dllite.Abox.Concept_assert ("A", "ann");
+          Dllite.Abox.Attr_assert ("name", "ann", "Smith, J") ]
+    in
+    let q =
+      Obda.Qparse.parse_query ~signature:(Dllite.Tbox.signature tbox)
+        {|x <- A(x), name(x, "Smith, J")|}
+    in
+    (tbox, abox, q)
+  in
+  List.iter
+    (fun (tbox, abox, q) ->
+      let case = { Runner.label = "roundtrip"; tbox; data = Some (abox, q) } in
+      let case' = Corpus.of_string ~label:"roundtrip" (Corpus.to_string case) in
+      Alcotest.(check bool) "tbox survives" true
+        (Dllite.Tbox.equal tbox case'.Runner.tbox);
+      match case'.Runner.data with
+      | None -> Alcotest.fail "data section lost"
+      | Some (abox', q') ->
+        Alcotest.(check bool) "abox survives" true
+          (Dllite.Abox.assertions abox = Dllite.Abox.assertions abox');
+        Alcotest.(check string) "query survives" (Obda.Cq.to_string q)
+          (Obda.Cq.to_string q'))
+    [ generated; quoted_comma ]
 
 let test_corpus_rejects_malformed () =
   List.iter

@@ -175,7 +175,6 @@ let closure_cases g =
     Closure.compute ~algorithm:Closure.Dfs g;
     Closure.compute ~algorithm:Closure.Warshall g;
     Closure.compute ~algorithm:Closure.Scc_condense g;
-    Closure.compute ~algorithm:Closure.Par_dfs ~pool g;
     Closure.compute ~algorithm:Closure.Par_scc ~pool g;
   ]
 
@@ -308,9 +307,7 @@ let prop_parallel_closure_agree =
       let reference = Closure.compute ~algorithm:Closure.Scc_condense g in
       List.for_all
         (fun (_, pool) ->
-          Closure.equal reference (Closure.compute ~algorithm:Closure.Par_scc ~pool g)
-          && Closure.equal reference
-               (Closure.compute ~algorithm:Closure.Par_dfs ~pool g))
+          Closure.equal reference (Closure.compute ~algorithm:Closure.Par_scc ~pool g))
         (Lazy.force test_pools))
 
 let prop_closure_transitive =

@@ -115,6 +115,53 @@ let test_load_facts () =
     [ [ "e2"; "hello, world" ] ]
     (Obda.Database.rows db "t_note")
 
+(* one argument codec: a query atom, a FACTS line and an ABOX line with
+   the same argument text read the same arguments *)
+let test_same_arguments_everywhere () =
+  List.iter
+    (fun (atom, expected) ->
+      let query_args =
+        List.map
+          (function Cq.Const c -> c | Cq.Var v -> "?" ^ v)
+          (Qparse.parse_atom ~signature atom).Cq.args
+      in
+      let facts_args =
+        match Qparse.parse_facts atom with
+        | [ (_, row) ] -> row
+        | _ -> Alcotest.failf "one fact expected from %s" atom
+      in
+      let abox_args =
+        match Qparse.parse_assertion ~signature atom with
+        | Abox.Concept_assert (_, c) -> [ c ]
+        | Abox.Role_assert (_, c1, c2) | Abox.Attr_assert (_, c1, c2) -> [ c1; c2 ]
+      in
+      Alcotest.(check (list string)) ("query " ^ atom) expected query_args;
+      Alcotest.(check (list string)) ("facts " ^ atom) expected facts_args;
+      Alcotest.(check (list string)) ("abox " ^ atom) expected abox_args)
+    [
+      ({|Employee("Smith, J")|}, [ "Smith, J" ]);
+      ({|Employee("")|}, [ "" ]);
+      ({|salary("p2", "Doe, A")|}, [ "p2"; "Doe, A" ]);
+      ({|worksFor("a(b", "c), d")|}, [ "a(b"; "c), d" ]);
+      ({|salary( "p1" ,  "  padded  " )|}, [ "p1"; "  padded  " ]);
+    ];
+  (* bare arguments: variables in a query, constants in facts and
+     assertions *)
+  Alcotest.(check (list string)) "bare facts" [ "p1"; "Smith" ]
+    (snd (List.hd (Qparse.parse_facts "salary(p1, Smith)")));
+  (* malformed argument lists are refused by all three *)
+  List.iter
+    (fun atom ->
+      let refused f =
+        match f () with
+        | _ -> Alcotest.failf "expected Parse_error for %s" atom
+        | exception Qparse.Parse_error _ -> ()
+      in
+      refused (fun () -> ignore (Qparse.parse_atom ~signature atom));
+      refused (fun () -> ignore (Qparse.parse_facts atom));
+      refused (fun () -> ignore (Qparse.parse_assertion ~signature atom)))
+    [ {|Employee("Smith, J)|}; "salary(p1, )"; "salary(, p1)"; "Employee" ]
+
 let () =
   Alcotest.run "qparse"
     [
@@ -127,6 +174,8 @@ let () =
           Alcotest.test_case "malformed" `Quick test_parse_query_malformed;
           Alcotest.test_case "arrow in constant" `Quick
             test_parse_query_arrow_in_constant;
+          Alcotest.test_case "same arguments everywhere" `Quick
+            test_same_arguments_everywhere;
         ] );
       ( "mappings",
         [

@@ -241,24 +241,37 @@ let sample_tbox =
   tbox_of_string
     "role worksFor\nManager [= Employee\nEmployee [= Person\nEmployee [= exists worksFor"
 
-let sample_sig = Tbox.signature sample_tbox
+(* the service's one front door: wire requests through [Service.handle],
+   built from the text the replay renderers produce *)
+let ok = function
+  | Wire.Ok lines -> lines
+  | Wire.Err e -> Alcotest.fail ("unexpected ERR " ^ e)
+  | Wire.Busy -> Alcotest.fail "unexpected BUSY"
 
-let q text = Obda.Qparse.parse_query ~signature:sample_sig text
+let load t session kind payload =
+  ignore (ok (Service.handle t (Wire.Load { session; kind; payload })))
+
+let set_tbox t session tbox = load t session Wire.K_tbox (Service.tbox_payload tbox)
+
+let add_abox t session assertions =
+  load t session Wire.K_abox
+    (List.map Conformance.Corpus.render_assertion assertions)
+
+let ask t session text =
+  ok (Service.handle t (Wire.Ask { session; query = Wire.Inline text }))
 
 let test_service_answers_and_hits () =
   (* a private registry: the process-wide default would accumulate
      counts across test cases and break the exact-count assertions *)
   let registry = Obs.Registry.create () in
   let t = Service.create ~config:{ Service.Config.default with lru = 8 } ~registry () in
-  Service.set_tbox t ~session:"s" sample_tbox;
-  Service.add_abox t ~session:"s"
-    (Abox.of_list
-       [ Abox.Concept_assert ("Manager", "ada"); Abox.Concept_assert ("Employee", "bob") ]);
-  let query = q "x <- Person(x)" in
-  let cold = Service.ask t ~session:"s" query in
-  Alcotest.(check (list (list string))) "subsumption answers" [ [ "ada" ]; [ "bob" ] ] cold;
-  let warm = Service.ask t ~session:"s" query in
-  Alcotest.(check (list (list string))) "warm identical" cold warm;
+  set_tbox t "s" sample_tbox;
+  add_abox t "s"
+    [ Abox.Concept_assert ("Manager", "ada"); Abox.Concept_assert ("Employee", "bob") ];
+  let cold = ask t "s" "x <- Person(x)" in
+  Alcotest.(check (list string)) "subsumption answers" [ "ada"; "bob" ] cold;
+  let warm = ask t "s" "x <- Person(x)" in
+  Alcotest.(check (list string)) "warm identical" cold warm;
   let lines = Service.stats_lines t in
   (match lines with
    | version :: _ ->
@@ -272,45 +285,35 @@ let test_service_answers_and_hits () =
 
 let test_service_invalidation_on_insert () =
   let t = Service.create ~config:{ Service.Config.default with lru = 8 } () in
-  Service.set_tbox t ~session:"s" sample_tbox;
-  Service.add_abox t ~session:"s" (Abox.of_list [ Abox.Concept_assert ("Employee", "ada") ]);
-  let query = q "x <- Person(x)" in
-  Alcotest.(check (list (list string))) "before" [ [ "ada" ] ]
-    (Service.ask t ~session:"s" query);
-  ignore (Service.ask t ~session:"s" query);
-  Service.add_abox t ~session:"s" (Abox.of_list [ Abox.Concept_assert ("Manager", "eve") ]);
-  Alcotest.(check (list (list string))) "insert visible immediately"
-    [ [ "ada" ]; [ "eve" ] ]
-    (Service.ask t ~session:"s" query)
+  set_tbox t "s" sample_tbox;
+  add_abox t "s" [ Abox.Concept_assert ("Employee", "ada") ];
+  Alcotest.(check (list string)) "before" [ "ada" ] (ask t "s" "x <- Person(x)");
+  ignore (ask t "s" "x <- Person(x)");
+  add_abox t "s" [ Abox.Concept_assert ("Manager", "eve") ];
+  Alcotest.(check (list string)) "insert visible immediately" [ "ada"; "eve" ]
+    (ask t "s" "x <- Person(x)")
 
 let test_service_invalidation_on_tbox_swap () =
   let t = Service.create ~config:{ Service.Config.default with lru = 8 } () in
-  Service.set_tbox t ~session:"s" sample_tbox;
-  Service.add_abox t ~session:"s" (Abox.of_list [ Abox.Concept_assert ("Manager", "ada") ]);
-  let query = q "x <- Person(x)" in
-  Alcotest.(check (list (list string))) "with subsumption" [ [ "ada" ] ]
-    (Service.ask t ~session:"s" query);
+  set_tbox t "s" sample_tbox;
+  add_abox t "s" [ Abox.Concept_assert ("Manager", "ada") ];
+  Alcotest.(check (list string)) "with subsumption" [ "ada" ]
+    (ask t "s" "x <- Person(x)");
   (* drop Employee [= Person: ada must stop being a Person *)
   let weaker =
     tbox_of_string "role worksFor\nManager [= Employee\nconcept Person"
   in
-  Service.set_tbox t ~session:"s" weaker;
-  let query' = q "x <- Person(x)" in
-  Alcotest.(check (list (list string))) "swap visible immediately" []
-    (Service.ask t ~session:"s" query');
+  set_tbox t "s" weaker;
+  Alcotest.(check (list string)) "swap visible immediately" []
+    (ask t "s" "x <- Person(x)");
   (* revert: the fingerprint-keyed rewrite cache may re-hit, but the
      answers must again include the subsumption *)
-  Service.set_tbox t ~session:"s" sample_tbox;
-  Alcotest.(check (list (list string))) "revert restores" [ [ "ada" ] ]
-    (Service.ask t ~session:"s" query)
+  set_tbox t "s" sample_tbox;
+  Alcotest.(check (list string)) "revert restores" [ "ada" ]
+    (ask t "s" "x <- Person(x)")
 
 let test_service_wire_handle () =
   let t = Service.create ~config:{ Service.Config.default with lru = 8 } () in
-  let ok = function
-    | Wire.Ok lines -> lines
-    | Wire.Err e -> Alcotest.fail ("unexpected ERR " ^ e)
-    | Wire.Busy -> Alcotest.fail "unexpected BUSY"
-  in
   let tbox_text = "role p\nA [= exists p\nexists p^- [= B" in
   ignore
     (ok
@@ -356,11 +359,6 @@ let test_service_facts_load_atomic () =
      without a version bump would serve stale cached answers over a
      half-loaded KB *)
   let t = Service.create ~config:{ Service.Config.default with lru = 8 } () in
-  let ok = function
-    | Wire.Ok lines -> lines
-    | Wire.Err e -> Alcotest.fail ("unexpected ERR " ^ e)
-    | Wire.Busy -> Alcotest.fail "unexpected BUSY"
-  in
   let load kind payload =
     Service.handle t (Wire.Load { session = "f"; kind; payload })
   in
@@ -383,11 +381,6 @@ let test_service_facts_load_atomic () =
 
 let test_service_bulk_stream () =
   let t = Service.create ~config:{ Service.Config.default with lru = 8 } () in
-  let ok = function
-    | Wire.Ok lines -> lines
-    | Wire.Err e -> Alcotest.fail ("unexpected ERR " ^ e)
-    | Wire.Busy -> Alcotest.fail "unexpected BUSY"
-  in
   let chunk payload =
     Service.handle t (Wire.Bulk_chunk { session = "b"; payload })
   in
@@ -441,13 +434,35 @@ let test_service_bulk_stream () =
   | Wire.Err _ -> ()
   | _ -> Alcotest.fail "END after ABORT must ERR"
 
-let test_service_unknown_session_typed () =
+(* quoted constants keep their commas and may be empty, whether they
+   arrive as FACTS, as ABOX assertions or inside a query *)
+let test_service_quoted_constants () =
   let t = Service.create ~config:{ Service.Config.default with lru = 8 } () in
-  Service.set_tbox t ~session:"known" sample_tbox;
-  Alcotest.check_raises "ask" (Service.Unknown_session "ghost") (fun () ->
-      ignore (Service.ask t ~session:"ghost" (q "x <- Person(x)")));
-  Alcotest.check_raises "classification" (Service.Unknown_session "ghost")
-    (fun () -> ignore (Service.classification t ~session:"ghost"));
+  load t "q" Wire.K_tbox [ "concept Person"; "attr name" ];
+  load t "q" Wire.K_facts [ {|a$name("p1", "Smith, J")|} ];
+  Alcotest.(check (list string)) "FACTS value asked by constant" [ "p1" ]
+    (ask t "q" {|x <- name(x, "Smith, J")|});
+  load t "q" Wire.K_abox [ {|name(p2, "Doe, A")|}; {|Person("")|} ];
+  Alcotest.(check (list string)) "ABOX value asked by constant" [ "p2" ]
+    (ask t "q" {|x <- name(x, "Doe, A")|});
+  Alcotest.(check (list string)) "empty constant" [ "()" ]
+    (ask t "q" {|<- Person("")|});
+  Alcotest.(check (list string)) "values come back whole"
+    [ "p1, Smith, J"; "p2, Doe, A" ]
+    (ask t "q" "x, y <- name(x, y)")
+
+let test_service_unknown_session () =
+  let t = Service.create ~config:{ Service.Config.default with lru = 8 } () in
+  set_tbox t "known" sample_tbox;
+  let refused request =
+    match Service.handle t request with
+    | Wire.Err e -> e
+    | _ -> Alcotest.fail "a read on an unknown session must ERR"
+  in
+  Alcotest.(check string) "ask" "unknown session ghost"
+    (refused (Wire.Ask { session = "ghost"; query = Wire.Inline "x <- Person(x)" }));
+  Alcotest.(check string) "classify" "unknown session ghost"
+    (refused (Wire.Classify { session = "ghost" }));
   (* and the failed reads must not have materialized the session *)
   Alcotest.(check (list string)) "no ghost session" [ "known" ]
     (Service.session_names t)
@@ -595,11 +610,14 @@ let test_loopback_client_stats () =
    the cached service must answer byte-identically to a fresh engine
    built from scratch over the session's accumulated state, at every
    capacity — 0 (caching off), 1, and small values that force constant
-   eviction are the interesting ones. *)
+   eviction are the interesting ones.  The service is driven through its
+   wire front door; its reply lines are compared with the fresh
+   engine's answers rendered the same way. *)
 
 let reference_answers tbox assertions query =
   let engine = Obda.Engine.of_abox tbox (Abox.of_list assertions) in
-  List.sort_uniq compare (Obda.Engine.certain_answers engine query)
+  List.map Service.render_tuple
+    (List.sort_uniq compare (Obda.Engine.certain_answers engine query))
 
 let scenario_agrees ~capacity seed =
   let rng = Ontgen.Rng.create seed in
@@ -607,7 +625,7 @@ let scenario_agrees ~capacity seed =
   let session = "prop" in
   let tbox = ref (Ontgen.Casegen.tbox rng) in
   let assertions = ref [] in
-  Service.set_tbox service ~session !tbox;
+  set_tbox service session !tbox;
   let queries = ref [ Ontgen.Casegen.query rng ] in
   let ops = 14 + Ontgen.Rng.int rng 8 in
   let failure = ref None in
@@ -618,18 +636,21 @@ let scenario_agrees ~capacity seed =
         (* swap the TBox (sometimes swap *back* to an earlier structure
            by regenerating from a fresh rng — fingerprint re-hits) *)
         tbox := Ontgen.Casegen.tbox rng;
-        Service.set_tbox service ~session !tbox
+        set_tbox service session !tbox
       | 2 | 3 ->
         let abox = Ontgen.Casegen.abox rng in
         assertions := !assertions @ Abox.assertions abox;
-        Service.add_abox service ~session abox
+        add_abox service session (Abox.assertions abox)
       | 4 ->
         queries := Ontgen.Casegen.query rng :: !queries
       | _ ->
         (* ask, usually a repeat of an earlier query: repeats are where
            a stale cache entry would surface *)
         let query = List.nth !queries (Ontgen.Rng.int rng (List.length !queries)) in
-        let served = Service.ask service ~session query in
+        let served =
+          ask service session
+            (Obda.Qparse.query_text ~signature:(Tbox.signature !tbox) query)
+        in
         let fresh = reference_answers !tbox !assertions query in
         if served <> fresh then failure := Some (query, served, fresh)
   done;
@@ -639,8 +660,7 @@ let scenario_agrees ~capacity seed =
     QCheck.Test.fail_reportf
       "capacity %d seed %d: served %s but fresh engine says %s for %s" capacity
       seed
-      (String.concat "; " (List.map (String.concat ",") served))
-      (String.concat "; " (List.map (String.concat ",") fresh))
+      (String.concat "; " served) (String.concat "; " fresh)
       (Obda.Cq.to_string query)
 
 let prop_cached_answers_sound capacity =
@@ -688,8 +708,10 @@ let () =
           Alcotest.test_case "wire handle" `Quick test_service_wire_handle;
           Alcotest.test_case "facts load atomic" `Quick
             test_service_facts_load_atomic;
-          Alcotest.test_case "unknown session (typed)" `Quick
-            test_service_unknown_session_typed;
+          Alcotest.test_case "unknown session" `Quick
+            test_service_unknown_session;
+          Alcotest.test_case "quoted constants" `Quick
+            test_service_quoted_constants;
           Alcotest.test_case "bulk stream" `Quick test_service_bulk_stream;
         ] );
       ( "line-reader",
