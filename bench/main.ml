@@ -425,7 +425,7 @@ let data_ablation () =
           let answers, eval_time =
             timeit (fun () ->
                 Obda.Cq.evaluate_ucq
-                  ~facts:(Obda.Database.facts instance.Ontgen.Datagen.database)
+                  ~source:(Obda.Database.source instance.Ontgen.Datagen.database)
                   unfolded)
           in
           Printf.printf "%-10d %10d  %-18s %12.4f %10.4f %10d\n%!" persons tuples
@@ -558,7 +558,7 @@ let serve_sweep ~sweep_max buf =
           (fun (name, q) ->
             let compiled = Obda.Engine.compile engine [ q ] in
             let indexed () =
-              Obda.Cq.evaluate_ucq_src ~source:(Obda.Database.source db) compiled
+              Obda.Cq.evaluate_ucq ~source:(Obda.Database.source db) compiled
             in
             let naive () =
               Obda.Cq.Naive.evaluate_ucq ~facts:(Obda.Database.facts db) compiled

@@ -74,7 +74,8 @@ module Hub = struct
             the hub drops the laggards and proceeds standalone *)
     queue_capacity : int;
     mu : Mutex.t;
-    cond : Condition.t;  (** acks, membership changes, ticker heartbeat *)
+    cond : Condition.t;
+        (** broadcast on every offer, ack, drop, fence change and stop *)
     mutable members : member list;
     mutable next_id : int;
     mutable fenced_at : int option;
@@ -148,17 +149,6 @@ module Hub = struct
       }
     in
     Store.add_observer store (offer t);
-    (* OCaml's [Condition] has no timed wait; a coarse ticker bounds the
-       barrier's timeout checks and the sender's idle loop instead *)
-    let _ticker =
-      Thread.create
-        (fun () ->
-          while not t.stopped do
-            Thread.delay 0.02;
-            locked t (fun () -> Condition.broadcast t.cond)
-          done)
-        ()
-    in
     t
 
   (** [fence_off t ~epoch] — a peer proved [epoch] exists elsewhere:
@@ -242,13 +232,13 @@ module Hub = struct
               Obs.Counter.incr t.m_acks;
               Result.Ok ()
             end
-            else if Unix.gettimeofday () > deadline then begin
+            else if Unix.gettimeofday () >= deadline then begin
               List.iter (fun m -> drop_locked t m "ack timeout") t.members;
               ignore (reap_locked t);
               Result.Ok ()
             end
             else begin
-              Condition.wait t.cond t.mu;
+              Parallel.Timed.wait t.mu t.cond ~until:deadline;
               wait ()
             end
         in

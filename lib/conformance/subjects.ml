@@ -145,7 +145,8 @@ let rewrite_consistency =
     consistent =
       (fun tbox abox ->
         verdict_of_bool
-          (Obda.Consistency.consistent tbox ~facts:(Obda.Vabox.facts_of_abox abox)));
+          (Obda.Consistency.consistent tbox
+             ~source:(Obda.Database.source (Obda.Vabox.database_of_abox abox))));
   }
 
 let chase_consistency =
@@ -181,17 +182,6 @@ let string_of_answers = function
     ^ "}"
   | A_unknown reason -> "unknown (" ^ reason ^ ")"
 
-(* load the ABox into a private database under the Vabox names, the
-   same layout [Engine.of_abox] uses *)
-let database_of_abox abox =
-  let db = Obda.Database.create () in
-  List.iter
-    (fun a ->
-      let pred, row = Obda.Vabox.fact_of_assertion a in
-      Obda.Database.insert db pred row)
-    (Abox.assertions abox);
-  db
-
 let sql_path name rewriter =
   {
     a_name = name;
@@ -199,7 +189,7 @@ let sql_path name rewriter =
       (fun tbox abox q ->
         let rewritten, _stats = rewriter tbox [ q ] in
         let stmt = Obda.Sql.of_ucq rewritten in
-        Tuples (canon (Obda.Sql.eval (database_of_abox abox) stmt)));
+        Tuples (canon (Obda.Sql.eval (Obda.Vabox.database_of_abox abox) stmt)));
   }
 
 let perfectref_sql = sql_path "perfectref-sql" Obda.Rewrite.perfect_ref
@@ -226,7 +216,7 @@ let naive_answers =
     answers =
       (fun tbox abox q ->
         let rewritten, _stats = Obda.Rewrite.perfect_ref tbox [ q ] in
-        let db = database_of_abox abox in
+        let db = Obda.Vabox.database_of_abox abox in
         Tuples
           (canon (Obda.Cq.Naive.evaluate_ucq ~facts:(Obda.Database.facts db) rewritten)));
   }
@@ -237,10 +227,10 @@ let indexed_answers =
     answers =
       (fun tbox abox q ->
         let rewritten, _stats = Obda.Rewrite.perfect_ref tbox [ q ] in
-        let db = database_of_abox abox in
+        let db = Obda.Vabox.database_of_abox abox in
         Tuples
           (canon
-             (Obda.Cq.evaluate_ucq_src ~source:(Obda.Database.source db) rewritten)));
+             (Obda.Cq.evaluate_ucq ~source:(Obda.Database.source db) rewritten)));
   }
 
 (* The served path: one process-wide Service shared across fuzz cases,

@@ -204,7 +204,7 @@ let certain_answers ?max_depth ?max_nulls tbox abox q =
     match max_depth with Some d -> d | None -> List.length q.Cq.body + 1
   in
   let chase = run ~max_depth:depth ?max_nulls tbox abox in
-  Cq.evaluate ~facts:(facts_fn chase) q
+  Cq.Naive.evaluate ~facts:(facts_fn chase) q
   |> List.filter (fun tuple -> not (List.exists is_null tuple))
 
 (** [violates_ni tbox abox] — does the chased instance violate a told

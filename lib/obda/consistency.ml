@@ -58,13 +58,13 @@ type violation = {
                                    object *)
 }
 
-(** [check ?rewrite tbox ~facts] evaluates every rewritten violation
-    query over the fact source; returns all violations ([] =
+(** [check ?rewrite tbox ~source] evaluates every rewritten violation
+    query over [source]; returns all violations ([] =
     consistent).  [?rewrite] lets a long-running engine supply a shared
     prepared rewriter ([Rewrite.apply prepared]) instead of the default,
     which re-normalizes and re-indexes [tbox] for every negative
     inclusion. *)
-let check ?rewrite tbox ~facts =
+let check ?rewrite tbox ~source =
   let rewrite =
     match rewrite with
     | Some f -> f
@@ -76,7 +76,7 @@ let check ?rewrite tbox ~facts =
       | None -> None
       | Some q ->
         let rewritten = rewrite [ q ] in
-        let answers = Cq.evaluate_ucq ~facts rewritten in
+        let answers = Cq.evaluate_ucq ~source rewritten in
         if answers = [] then None
         else begin
           let witnesses =
@@ -85,12 +85,12 @@ let check ?rewrite tbox ~facts =
             | Some wq ->
               let rewritten = rewrite [ wq ] in
               List.sort_uniq compare
-                (List.concat (Cq.evaluate_ucq ~facts rewritten))
+                (List.concat (Cq.evaluate_ucq ~source rewritten))
           in
           Some { axiom = ax; witnesses }
         end)
     (Tbox.negative_inclusions tbox)
 
-(** [consistent ?rewrite tbox ~facts] — [true] iff no violation query
+(** [consistent ?rewrite tbox ~source] — [true] iff no violation query
     fires. *)
-let consistent ?rewrite tbox ~facts = check ?rewrite tbox ~facts = []
+let consistent ?rewrite tbox ~source = check ?rewrite tbox ~source = []

@@ -304,8 +304,8 @@ end
     plain scan of the [facts]-function interface it exposes hash-index
     probes on bound-position patterns and the two statistics the
     planner's selectivity estimate needs.  [Database.source] backs this
-    with persistent, incrementally maintained indexes; {!source_of_facts}
-    wraps any [facts] function with per-call lazily built ones. *)
+    with persistent, incrementally maintained indexes; it is the one
+    index implementation the executor runs on. *)
 type source = {
   all : string -> string list list;
       (** every row of a relation (set semantics: order unspecified) *)
@@ -335,47 +335,6 @@ let key_of_row positions row =
         else go positions (i + 1) rest acc)
   in
   go positions 0 row []
-
-(** [source_of_facts facts] — a {!source} over a plain fact function,
-    with indexes built lazily per pattern and memoized for the lifetime
-    of the source (one [evaluate] call, or one UCQ when created by
-    {!evaluate_ucq}, shares them across disjuncts). *)
-let source_of_facts facts =
-  let rows_memo = Hashtbl.create 8 in
-  let all pred =
-    match Hashtbl.find_opt rows_memo pred with
-    | Some rows -> rows
-    | None ->
-      let rows = facts pred in
-      Hashtbl.add rows_memo pred rows;
-      rows
-  in
-  let indexes = Hashtbl.create 8 in
-  let index pred positions =
-    match Hashtbl.find_opt indexes (pred, positions) with
-    | Some tbl -> tbl
-    | None ->
-      let tbl = Hashtbl.create 64 in
-      List.iter
-        (fun row ->
-          match key_of_row positions row with
-          | Some key ->
-            let prev = Option.value ~default:[] (Hashtbl.find_opt tbl key) in
-            Hashtbl.replace tbl key (row :: prev)
-          | None -> ())
-        (all pred);
-      Hashtbl.add indexes (pred, positions) tbl;
-      tbl
-  in
-  {
-    all;
-    cardinality = (fun pred -> List.length (all pred));
-    probe =
-      (fun pred bound ->
-        let tbl = index pred (List.map fst bound) in
-        Option.value ~default:[] (Hashtbl.find_opt tbl (List.map snd bound)));
-    distinct_keys = (fun pred positions -> Hashtbl.length (index pred positions));
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Cost-based execution: selectivity-ordered plans, adaptive joins      *)
@@ -751,7 +710,7 @@ let evaluate_into ~sink ~join_threshold ~source q =
           rows)
       candidates
 
-(** [evaluate_src ?join_threshold ~source q] — the cost-based executor:
+(** [evaluate ?join_threshold ~source q] — the cost-based executor:
     order the atoms by {!plan}, compile the plan to positional form
     (variable slots in a string array instead of substitution maps),
     then pipe an intermediate binding set through one adaptive join
@@ -759,30 +718,19 @@ let evaluate_into ~sink ~join_threshold ~source q =
     deduplication.  Same answers as {!Naive.evaluate} (set semantics;
     duplicate answers removed, tuple order unspecified), differentially
     enforced by the test suite. *)
-let evaluate_src ?(join_threshold = default_join_threshold) ~source q =
+let evaluate ?(join_threshold = default_join_threshold) ~source q =
   let sink = Tuple_sink.create 16 in
   evaluate_into ~sink ~join_threshold ~source q;
   Tuple_sink.to_list sink
 
-(** [evaluate_ucq_src ?join_threshold ~source ucq] is the deduplicated
+(** [evaluate_ucq ?join_threshold ~source ucq] is the deduplicated
     union of the disjunct answers, sharing [source] (and hence its
     indexes) across disjuncts — and sharing one dedup sink, so the
     union costs no second pass over the tuples. *)
-let evaluate_ucq_src ?(join_threshold = default_join_threshold) ~source ucq =
+let evaluate_ucq ?(join_threshold = default_join_threshold) ~source ucq =
   let sink = Tuple_sink.create 16 in
   List.iter (fun q -> evaluate_into ~sink ~join_threshold ~source q) ucq;
   Tuple_sink.to_list sink
-
-(** [evaluate ~facts q] — the cost-based executor over a plain fact
-    function (indexes are built lazily and live for this call).
-    Answers are a set: duplicates removed, order unspecified. *)
-let evaluate ?join_threshold ~facts q =
-  evaluate_src ?join_threshold ~source:(source_of_facts facts) q
-
-(** [evaluate_ucq ~facts ucq] is the deduplicated union of the disjunct
-    answers; all disjuncts share one lazily indexed source. *)
-let evaluate_ucq ?join_threshold ~facts ucq =
-  evaluate_ucq_src ?join_threshold ~source:(source_of_facts facts) ucq
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)

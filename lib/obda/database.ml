@@ -2,8 +2,11 @@
     architecture.
 
     Relations are named, fixed-arity, duplicate-free sets of string
-    tuples.  The store doubles as the fact source for [Cq.evaluate]
-    after mapping unfolding.
+    tuples.  It is the one row store and index implementation of the
+    OBDA layer: the source relations behind the mappings, and the
+    ontology-level relations of a materialized ABox
+    ([Vabox.database_of_abox]), are both planned and evaluated through
+    {!source}.
 
     {b Ordering contract:} a relation is a {e set}.  [rows]/[facts]
     return the tuples in an unspecified order that may change between
@@ -85,7 +88,8 @@ let insert_all db name rows = List.iter (insert db name) rows
 let rows db name =
   match Hashtbl.find_opt db.relations name with Some r -> r.rows | None -> []
 
-(** [facts db] is the fact-source function expected by [Cq.evaluate]. *)
+(** [facts db] — the plain row function the index-free oracles
+    ([Cq.Naive], [Integrity]) read. *)
 let facts db name = rows db name
 
 (* the lazily built, incrementally maintained index on a position

@@ -71,13 +71,8 @@ let create ?(mode = Perfect_ref) ?(constraints = []) ~tbox ~mappings ~database
     even needed — the ABox is loaded as ontology-level relations in a
     private database and queried directly. *)
 let of_abox ?(mode = Perfect_ref) tbox abox =
-  let database = Database.create () in
-  List.iter
-    (fun a ->
-      let pred, row = Vabox.fact_of_assertion a in
-      Database.insert database pred row)
-    (Abox.assertions abox);
-  assemble ~mode ~constraints:[] ~tbox ~mappings:[] ~database ()
+  assemble ~mode ~constraints:[] ~tbox ~mappings:[]
+    ~database:(Vabox.database_of_abox abox) ()
 
 let tbox t = t.tbox
 let mappings t = t.mappings
@@ -86,13 +81,13 @@ let mode t = t.mode
 
 let rewrite t ucq = Rewrite.apply (Lazy.force t.prepared) ucq
 
-(** [ontology_facts t] is the fact source seen at the ontology level:
-    through the mappings when present, directly from the database
-    otherwise (the [of_abox] case loads ontology predicates into the
-    database under their [Vabox] names). *)
+(** [ontology_facts t] is the database seen at the ontology level:
+    the mappings' materialized ABox when mappings are present, the
+    engine's own database otherwise (the [of_abox] case loads ontology
+    predicates into it under their [Vabox] names). *)
 let ontology_facts t =
-  if t.mappings = [] then Database.facts t.database
-  else Vabox.facts_of_abox (Mapping.materialize t.mappings t.database)
+  if t.mappings = [] then t.database
+  else Vabox.database_of_abox (Mapping.materialize t.mappings t.database)
 
 (** [compile t ucq] is the data-independent half of the pipeline: the
     rewriting of [ucq], unfolded through the mappings when present.  The
@@ -120,7 +115,7 @@ let compile t ucq =
     index rebuild). *)
 let evaluate_compiled t ucq =
   Obs.span "eval" (fun () ->
-      Cq.evaluate_ucq_src ~source:(Database.source t.database) ucq)
+      Cq.evaluate_ucq ~source:(Database.source t.database) ucq)
 
 (** [certain_answers t q] — the full pipeline.  With mappings installed
     the rewriting is *unfolded* and evaluated over the raw database;
@@ -140,17 +135,18 @@ let shared_rewrite t ucq = fst (Rewrite.apply (Lazy.force t.prepared) ucq)
     inclusion. *)
 let consistent t =
   Consistency.consistent ~rewrite:(shared_rewrite t) t.tbox
-    ~facts:(ontology_facts t)
+    ~source:(Database.source (ontology_facts t))
 
 (** [violations t] — the full violation report. *)
 let violations t =
   Consistency.check ~rewrite:(shared_rewrite t) t.tbox
-    ~facts:(ontology_facts t)
+    ~source:(Database.source (ontology_facts t))
 
 (** [integrity_violations t] — functionality / identification
     violations over the retrieved facts (empty when no constraints are
     installed). *)
-let integrity_violations t = Integrity.check ~facts:(ontology_facts t) t.constraints
+let integrity_violations t =
+  Integrity.check ~facts:(Database.facts (ontology_facts t)) t.constraints
 
 (** [classification t] — intensional service pass-through: the ontology
     engineer's design-quality check runs on the same system handle,

@@ -168,7 +168,7 @@ let materialize (mappings : t) db =
         |> List.sort_uniq compare
       in
       let proj = { m.source with Cq.answer_vars = needed_vars } in
-      let tuples = Cq.evaluate ~facts:(Database.facts db) proj in
+      let tuples = Cq.evaluate ~source:(Database.source db) proj in
       List.fold_left
         (fun abox tuple ->
           let env = List.combine needed_vars tuple in

@@ -51,15 +51,6 @@ let fact_of_assertion = function
   | Abox.Role_assert (p, c1, c2) -> (role_pred p, [ c1; c2 ])
   | Abox.Attr_assert (u, c, v) -> (attr_pred u, [ c; v ])
 
-(** [pred_of_expr e] is the evaluation-level predicate name of a named
-    DL-Lite predicate. *)
-let pred_of_expr = function
-  | Syntax.E_concept (Syntax.Atomic a) -> concept_pred a
-  | Syntax.E_role (Syntax.Direct p) | Syntax.E_role (Syntax.Inverse p) -> role_pred p
-  | Syntax.E_attr u -> attr_pred u
-  | Syntax.E_concept (Syntax.Exists _ | Syntax.Attr_domain _) ->
-    invalid_arg "Vabox.pred_of_expr: only named predicates have facts"
-
 (** [atom_of_basic b t] is the query atom asserting [t ∈ B], introducing
     [fresh] for the existentially quantified position of [∃Q] and
     [δ(U)]. *)
@@ -70,36 +61,13 @@ let atom_of_basic b t ~fresh =
   | Syntax.Exists (Syntax.Inverse p) -> Cq.atom (role_pred p) [ fresh; t ]
   | Syntax.Attr_domain u -> Cq.atom (attr_pred u) [ t; fresh ]
 
-(** [facts_of_abox abox] turns a materialized ABox into a fact source
-    for [Cq.evaluate]. *)
-let facts_of_abox abox =
-  let table = Hashtbl.create 64 in
-  let add pred row =
-    let prev = Option.value ~default:[] (Hashtbl.find_opt table pred) in
-    Hashtbl.replace table pred (row :: prev)
-  in
+(** [database_of_abox abox] — a fresh database holding every assertion
+    of [abox] as a row of its tagged relation ({!fact_of_assertion}). *)
+let database_of_abox abox =
+  let db = Database.create () in
   List.iter
     (fun a ->
       let pred, row = fact_of_assertion a in
-      add pred row)
+      Database.insert db pred row)
     (Abox.assertions abox);
-  fun pred -> Option.value ~default:[] (Hashtbl.find_opt table pred)
-
-(** [abox_of_facts facts preds] — inverse direction, used by mapping
-    materialization: collect the extension of the given named predicates
-    into an ABox. *)
-let abox_of_facts facts exprs =
-  List.fold_left
-    (fun abox e ->
-      let pred = pred_of_expr e in
-      List.fold_left
-        (fun abox row ->
-          match e, row with
-          | Syntax.E_concept (Syntax.Atomic a), [ c ] ->
-            Abox.add (Abox.Concept_assert (a, c)) abox
-          | Syntax.E_role (Syntax.Direct p), [ c1; c2 ] ->
-            Abox.add (Abox.Role_assert (p, c1, c2)) abox
-          | Syntax.E_attr u, [ c; v ] -> Abox.add (Abox.Attr_assert (u, c, v)) abox
-          | _ -> abox)
-        abox (facts pred))
-    Abox.empty exprs
+  db

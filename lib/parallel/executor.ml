@@ -14,8 +14,8 @@
     watch the backlog drain.  Production code never pauses.
 
     All synchronization is stdlib ([Mutex] / [Condition] / [Domain]);
-    no timed waits are needed here — callers that want a timeout poll
-    their own result cell. *)
+    no timed waits are needed here — callers that want a timeout wait
+    on their own result cell with {!Timed.wait}. *)
 
 (* Registry handles resolved once at [create]: the per-event updates on
    the hot path are then a counter increment / gauge store each. *)

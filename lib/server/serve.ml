@@ -11,15 +11,16 @@
     stays bounded either way: a full queue turns into an immediate
     [BUSY] reply instead of an ever-growing backlog.
 
-    Each dispatched request gets a deadline.  OCaml's [Condition] has no
-    timed wait, so the handler polls its result cell at millisecond
-    granularity — crude but dependency-free, and the polling thread is a
-    cheap OS thread, not a worker domain.  A timed-out request answers
-    [ERR timeout]; the task itself is {e not} cancelled — it completes
-    on its worker (discarding its result) and meanwhile occupies that
-    worker and its session's mutex, so the timeout bounds the client's
-    wait, not the worker's.  Size [workers] and [request_timeout_s] for
-    the slowest request a deployment should absorb.
+    Each dispatched request gets a deadline.  The handler waits on its
+    result cell's condition with {!Parallel.Timed.wait}, which the task
+    signals when it fills the cell and which returns at the deadline
+    otherwise; the waiting thread is a cheap OS thread, not a worker
+    domain.  A timed-out request answers [ERR timeout]; the task itself
+    is {e not} cancelled — it completes on its worker (discarding its
+    result) and meanwhile occupies that worker and its session's mutex,
+    so the timeout bounds the client's wait, not the worker's.  Size
+    [workers] and [request_timeout_s] for the slowest request a
+    deployment should absorb.
 
     [stop] makes shutdown graceful: listeners close (no new
     connections), the executor stops admitting and drains in-flight
@@ -151,7 +152,11 @@ let listen_tcp t ~host ~port =
 
 (* ------------------------- request dispatch ------------------------- *)
 
-type cell = { cm : Mutex.t; mutable result : Wire.reply option }
+type cell = {
+  cm : Mutex.t;
+  filled : Condition.t;  (** signalled by the task with [result] set *)
+  mutable result : Wire.reply option;
+}
 
 let dispatch t request =
   let t0 = Unix.gettimeofday () in
@@ -164,7 +169,9 @@ let dispatch t request =
   | exception Durable.Failpoint.Injected name ->
     finish t.rm.m_err (Wire.Err ("injected fault at " ^ name))
   | () ->
-  let cell = { cm = Mutex.create (); result = None } in
+  let cell =
+    { cm = Mutex.create (); filled = Condition.create (); result = None }
+  in
   let task () =
     let reply =
       try Service.handle t.service request
@@ -172,30 +179,26 @@ let dispatch t request =
     in
     Mutex.lock cell.cm;
     cell.result <- Some reply;
+    Condition.signal cell.filled;
     Mutex.unlock cell.cm
   in
   if not (Parallel.Executor.try_submit t.exec task) then
     finish t.rm.m_busy Wire.Busy
   else begin
     let deadline = Unix.gettimeofday () +. t.config.request_timeout_s in
-    let rec await () =
-      Mutex.lock cell.cm;
-      let r = cell.result in
-      Mutex.unlock cell.cm;
-      match r with
-      | Some (Wire.Ok _ as reply) -> finish t.rm.m_ok reply
-      | Some reply -> finish t.rm.m_err reply
-      | None ->
-        if Unix.gettimeofday () > deadline then
-          finish t.rm.m_timeout
-            (Wire.Err
-               (Printf.sprintf "timeout after %.1fs" t.config.request_timeout_s))
-        else begin
-          Thread.delay 0.001;
-          await ()
-        end
-    in
-    await ()
+    Mutex.lock cell.cm;
+    while cell.result = None && Unix.gettimeofday () < deadline do
+      Parallel.Timed.wait cell.cm cell.filled ~until:deadline
+    done;
+    let r = cell.result in
+    Mutex.unlock cell.cm;
+    match r with
+    | Some (Wire.Ok _ as reply) -> finish t.rm.m_ok reply
+    | Some reply -> finish t.rm.m_err reply
+    | None ->
+      finish t.rm.m_timeout
+        (Wire.Err
+           (Printf.sprintf "timeout after %.1fs" t.config.request_timeout_s))
   end
 
 (* --------------------------- connections ---------------------------- *)

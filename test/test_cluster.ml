@@ -180,6 +180,83 @@ let test_hub_fenced_by_higher_epoch () =
     Store.close store;
     Harness.rm_rf dir
 
+(* [within seconds ready] polls [ready] until it holds or [seconds]
+   pass; a test fails on [false] instead of hanging *)
+let within seconds ready =
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec go () =
+    if ready () then true
+    else if Unix.gettimeofday () > deadline then false
+    else begin
+      Thread.delay 0.01;
+      go ()
+    end
+  in
+  go ()
+
+(* The barrier's deadline path: a subscriber that never ACKs holds a
+   mutation for [ack_timeout], after which the hub drops it and lets the
+   mutation through standalone. *)
+let test_hub_ack_timeout () =
+  let dir = fresh_dir () in
+  match Store.open_dir ~registry:(registry ()) dir with
+  | Result.Error e -> Alcotest.failf "open_dir: %s" e
+  | Result.Ok (store, _) ->
+    let reg = registry () in
+    let hub =
+      Replicate.Hub.create ~registry:reg ~ack_timeout:0.2
+        ~epoch:(fun () -> 1) store
+    in
+    (* [b] is the replica's end: it never reads and never ACKs *)
+    let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let subscriber =
+      Thread.create
+        (fun () ->
+          Replicate.Hub.subscribe hub ~fence:0 ~epoch:1 ~fd:a
+            ~reader:(Durable.Io.reader a))
+        ()
+    in
+    if not (within 5.0 (fun () -> snd (Replicate.Hub.ack_state hub) = 1))
+    then Alcotest.fail "subscriber never registered";
+    let m = Mutex.create () in
+    let outcome = ref None in
+    let _barrier =
+      Thread.create
+        (fun () ->
+          let t0 = Unix.gettimeofday () in
+          let r = Replicate.Hub.wait_replicated hub 1 in
+          let elapsed = Unix.gettimeofday () -. t0 in
+          Mutex.lock m;
+          outcome := Some (r, elapsed);
+          Mutex.unlock m)
+        ()
+    in
+    let finished () =
+      Mutex.lock m;
+      let o = !outcome in
+      Mutex.unlock m;
+      o
+    in
+    if not (within 5.0 (fun () -> finished () <> None)) then
+      Alcotest.fail "barrier still blocked 5 s after a 0.2 s ack timeout";
+    (match finished () with
+     | Some (r, elapsed) ->
+       Alcotest.(check bool) "barrier proceeds standalone" true
+         (r = Result.Ok ());
+       if elapsed < 0.2 || elapsed >= 2.0 then
+         Alcotest.failf "barrier returned after %.3fs, want [0.2, 2)" elapsed
+     | None -> assert false);
+    Alcotest.(check int) "the silent subscriber was dropped" 1
+      (Obs.Counter.value
+         (Obs.Registry.counter reg "obda_repl_subscribers_dropped_total"));
+    (* the drop shut [a] down, so the ACK reader has returned *)
+    Thread.join subscriber;
+    Replicate.Hub.stop hub;
+    Unix.close a;
+    Unix.close b;
+    Store.close store;
+    Harness.rm_rf dir
+
 (* The full fenced-ex-primary life cycle against one node directory:
    fencing persists a marker (and adopts the learned epoch) before it
    engages, a restart as primary comes back fenced, and only a
@@ -630,6 +707,8 @@ let () =
             test_stale_epoch_promotion;
           Alcotest.test_case "hub fenced by higher-epoch subscriber" `Quick
             test_hub_fenced_by_higher_epoch;
+          Alcotest.test_case "hub drops a silent subscriber at the ack timeout"
+            `Quick test_hub_ack_timeout;
           Alcotest.test_case "fence persists; re-promotion clears it" `Quick
             test_fence_persists_and_repromotion_clears;
           Alcotest.test_case "stale promotion keeps the subscriber" `Quick

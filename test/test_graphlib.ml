@@ -271,6 +271,105 @@ let test_pool_reuse_and_errors () =
   Alcotest.(check int) "pool usable after error" 45 (Array.fold_left ( + ) 0 out);
   Pool.shutdown pool
 
+(* ---------------------------- timed wait ----------------------------- *)
+
+(* the caller's loop from [Timed.wait]'s contract: wait for [ready] or
+   [until]; returns the instant the loop exited *)
+let timed_wait_loop m c ready ~until =
+  Mutex.lock m;
+  while (not (ready ())) && Unix.gettimeofday () < until do
+    Parallel.Timed.wait m c ~until
+  done;
+  Mutex.unlock m;
+  Unix.gettimeofday ()
+
+(* [bounded f] runs [f] on its own thread and returns its result; the
+   test fails, instead of hanging, if [f] has not returned within 5 s *)
+let bounded f =
+  let m = Mutex.create () and result = ref None in
+  let _ =
+    Thread.create
+      (fun () ->
+        let v = f () in
+        Mutex.lock m;
+        result := Some v;
+        Mutex.unlock m)
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let rec poll () =
+    Mutex.lock m;
+    let v = !result in
+    Mutex.unlock m;
+    match v with
+    | Some v -> v
+    | None when Unix.gettimeofday () > deadline ->
+      Alcotest.fail "timed wait still blocked after 5 s"
+    | None ->
+      Thread.delay 0.01;
+      poll ()
+  in
+  poll ()
+
+let test_timed_signalled () =
+  let m = Mutex.create () and c = Condition.create () and set = ref false in
+  let t0 = Unix.gettimeofday () in
+  let signaller =
+    Thread.create
+      (fun () ->
+        Thread.delay 0.05;
+        Mutex.lock m;
+        set := true;
+        Condition.signal c;
+        Mutex.unlock m)
+      ()
+  in
+  let returned = timed_wait_loop m c (fun () -> !set) ~until:(t0 +. 5.0) in
+  Thread.join signaller;
+  Alcotest.(check bool) "woken by the signal" true !set;
+  if returned -. t0 > 2.0 then
+    Alcotest.failf "signalled waiter returned after %.3fs" (returned -. t0)
+
+let test_timed_deadline () =
+  let m = Mutex.create () and c = Condition.create () in
+  let until = Unix.gettimeofday () +. 0.2 in
+  let returned = bounded (fun () -> timed_wait_loop m c (fun () -> false) ~until) in
+  if returned < until || returned >= until +. 0.5 then
+    Alcotest.failf "unsignalled waiter returned %.3fs from its deadline"
+      (returned -. until)
+
+(* a short deadline registered after a long one still fires on time: a
+   watchdog sleeping toward the wrong deadline would hold it ~5 s *)
+let test_timed_two_waiters () =
+  let t0 = Unix.gettimeofday () in
+  let long_m = Mutex.create () and long_c = Condition.create () in
+  let release = ref false and long_returned = ref None in
+  let long =
+    Thread.create
+      (fun () ->
+        let r =
+          timed_wait_loop long_m long_c (fun () -> !release) ~until:(t0 +. 5.0)
+        in
+        Mutex.lock long_m;
+        long_returned := Some r;
+        Mutex.unlock long_m)
+      ()
+  in
+  Thread.delay 0.02;
+  let m = Mutex.create () and c = Condition.create () in
+  let until = t0 +. 0.1 in
+  let returned = bounded (fun () -> timed_wait_loop m c (fun () -> false) ~until) in
+  if returned < until || returned >= until +. 0.5 then
+    Alcotest.failf "0.1 s waiter returned %.3fs from its deadline"
+      (returned -. until);
+  Mutex.lock long_m;
+  let early = !long_returned in
+  release := true;
+  Condition.signal long_c;
+  Mutex.unlock long_m;
+  Thread.join long;
+  Alcotest.(check bool) "5 s waiter still waiting" true (early = None)
+
 (* Random graph generator for the agreement property. *)
 let gen_graph =
   QCheck.Gen.(
@@ -394,6 +493,12 @@ let () =
           Alcotest.test_case "map_chunks order" `Quick test_pool_map_chunks;
           Alcotest.test_case "reuse and error propagation" `Quick
             test_pool_reuse_and_errors;
+          Alcotest.test_case "timed wait: signal beats deadline" `Quick
+            test_timed_signalled;
+          Alcotest.test_case "timed wait: deadline without signal" `Quick
+            test_timed_deadline;
+          Alcotest.test_case "timed wait: short deadline beside a long one"
+            `Quick test_timed_two_waiters;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

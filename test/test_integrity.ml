@@ -84,7 +84,8 @@ let test_engine_rejects_inadmissible () =
 
 (* ----------------------------- integrity ----------------------------- *)
 
-let facts_of assertions = Obda.Vabox.facts_of_abox (Abox.of_list assertions)
+let facts_of assertions =
+  Obda.Database.facts (Obda.Vabox.database_of_abox (Abox.of_list assertions))
 
 let test_funct_role_violation () =
   let facts =

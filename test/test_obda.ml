@@ -42,19 +42,18 @@ let test_cq_make_checks () =
       ignore (Cq.make [ "x" ] [ Cq.atom "p" [ v "y" ] ]))
 
 let test_cq_evaluate () =
-  let facts = function
-    | "p" -> [ [ "a"; "b" ]; [ "b"; "c" ]; [ "a"; "d" ] ]
-    | "A" -> [ [ "b" ] ]
-    | _ -> []
-  in
+  let db = Database.create () in
+  Database.insert_all db "p" [ [ "a"; "b" ]; [ "b"; "c" ]; [ "a"; "d" ] ];
+  Database.insert_all db "A" [ [ "b" ] ];
+  let source = Database.source db in
   let q = Cq.make [ "x" ] [ Cq.atom "p" [ v "x"; v "y" ]; Cq.atom "A" [ v "y" ] ] in
-  check_answers "join" [ [ "a" ] ] (Cq.evaluate ~facts q);
+  check_answers "join" [ [ "a" ] ] (Cq.evaluate ~source q);
   let q2 = Cq.make [ "x"; "y" ] [ Cq.atom "p" [ v "x"; v "y" ] ] in
   check_answers "all pairs"
     [ [ "a"; "b" ]; [ "b"; "c" ]; [ "a"; "d" ] ]
-    (Cq.evaluate ~facts q2);
+    (Cq.evaluate ~source q2);
   let q3 = Cq.make [ "y" ] [ Cq.atom "p" [ c "a"; v "y" ] ] in
-  check_answers "constant selection" [ [ "b" ]; [ "d" ] ] (Cq.evaluate ~facts q3)
+  check_answers "constant selection" [ [ "b" ]; [ "d" ] ] (Cq.evaluate ~source q3)
 
 let test_cq_containment () =
   (* q1(x) :- p(x,y)   contains   q2(x) :- p(x,y), A(y) *)
@@ -145,7 +144,7 @@ let check_indexed_vs_naive msg db q =
       check_answers
         (Printf.sprintf "%s (threshold %d)" msg join_threshold)
         expected
-        (Obda.Cq.evaluate_src ~join_threshold ~source:(Database.source db) q))
+        (Obda.Cq.evaluate ~join_threshold ~source:(Database.source db) q))
     thresholds
 
 let executor_db () =
@@ -410,9 +409,13 @@ let test_mapping_unfold_matches_materialize () =
     Cq.make [ "x"; "y" ] [ Cq.atom (Vabox.role_pred "worksFor") [ v "x"; v "y" ] ]
   in
   let unfolded = Mapping.unfold mappings q in
-  let via_unfold = Cq.evaluate_ucq ~facts:(Database.facts db) unfolded in
+  let via_unfold = Cq.evaluate_ucq ~source:(Database.source db) unfolded in
   let via_mat =
-    Cq.evaluate ~facts:(Vabox.facts_of_abox (Mapping.materialize mappings db)) q
+    Cq.evaluate
+      ~source:
+        (Database.source
+           (Vabox.database_of_abox (Mapping.materialize mappings db)))
+      q
   in
   check_answers "unfold = materialize" via_mat via_unfold
 
@@ -547,7 +550,7 @@ let prop_indexed_matches_naive =
       List.for_all
         (fun join_threshold ->
           sorted_answers
-            (Obda.Cq.evaluate_src ~join_threshold ~source:(Database.source db) q)
+            (Obda.Cq.evaluate ~join_threshold ~source:(Database.source db) q)
           = expected)
         [ 0; 1; 4; max_int ])
 

@@ -82,7 +82,7 @@ let test_sql_eval_matches_cq () =
   in
   List.iter
     (fun q ->
-      let via_cq = sorted (Cq.evaluate ~facts:(Database.facts db) q) in
+      let via_cq = sorted (Cq.evaluate ~source:(Database.source db) q) in
       let via_sql = sorted (Sql.eval db (Sql.of_ucq [ q ])) in
       Alcotest.(check (list (list string))) (Cq.to_string q) via_cq via_sql)
     queries
@@ -162,7 +162,7 @@ let prop_sql_matches_cq =
     (fun q ->
       let db = db () in
       sorted (Sql.eval db (Sql.of_ucq [ q ]))
-      = sorted (Cq.evaluate ~facts:(Database.facts db) q))
+      = sorted (Cq.evaluate ~source:(Database.source db) q))
 
 let () =
   Alcotest.run "sql"
