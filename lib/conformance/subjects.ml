@@ -237,11 +237,13 @@ let indexed_answers =
    so the fingerprint-keyed rewrite cache carries entries from case to
    case — exactly the reuse whose soundness is under test.  Every case
    goes through the wire front door as text (the TBox payload, the ABox
-   as FACTS lines over its tagged relations, the query), asks twice and
-   reports the *warm* (answer-cache) result, which must agree with the
-   independently computed subjects.  Sessions are per-domain (the fuzz
-   driver runs cases on a domain pool) and reset per case; the
-   service's own mutex handles the rest. *)
+   as FACTS lines over its tagged relations, the query).  The facts
+   arrive in two loads with an ask between them, so the first ask after
+   the second load refreshes the cached answer by delta over its rows;
+   the subject reports the *warm* (answer-cache) result, which must
+   agree with the independently computed subjects.  Sessions are
+   per-domain (the fuzzer runs cases on a domain pool) and reset
+   per case; the service's own mutex handles the rest. *)
 let service_answers =
   let service = lazy (Server.Service.create ~config:{ Server.Service.Config.default with lru = 64 } ()) in
   {
@@ -261,17 +263,22 @@ let service_answers =
         in
         Server.Service.drop_session t ~session;
         load Server.Wire.K_tbox (Server.Service.tbox_payload tbox);
-        load Server.Wire.K_facts
-          (List.map
-             (fun a ->
-               let rel, row = Obda.Vabox.fact_of_assertion a in
-               Server.Service.fact_line rel row)
-             (Abox.assertions abox));
+        let facts =
+          List.map
+            (fun a ->
+              let rel, row = Obda.Vabox.fact_of_assertion a in
+              Server.Service.fact_line rel row)
+            (Abox.assertions abox)
+        in
+        let half = List.length facts / 2 in
         let query =
           Server.Wire.Inline
             (Obda.Qparse.query_text ~signature:(Tbox.signature tbox) q)
         in
         let ask () = send (Server.Wire.Ask { session; query }) in
+        load Server.Wire.K_facts (List.filteri (fun i _ -> i < half) facts);
+        ignore (ask ());
+        load Server.Wire.K_facts (List.filteri (fun i _ -> i >= half) facts);
         ignore (ask ());
         (* [render_tuple]'s inverse over generated constants, which
            hold no commas or surrounding blanks *)

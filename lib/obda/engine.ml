@@ -117,6 +117,15 @@ let evaluate_compiled t ucq =
   Obs.span "eval" (fun () ->
       Cq.evaluate_ucq ~source:(Database.source t.database) ucq)
 
+(** [evaluate_delta t ucq ~delta] — the answers a compiled UCQ gains
+    from the rows of [delta], which must already be in the engine's
+    database ({!Cq.evaluate_ucq_delta}).  Same executor, same indexes as
+    {!evaluate_compiled}; timed under its own [delta] phase. *)
+let evaluate_delta t ucq ~delta =
+  Obs.span "delta" (fun () ->
+      Cq.evaluate_ucq_delta ~source:(Database.source t.database)
+        ~delta:(Database.source delta) ucq)
+
 (** [certain_answers t q] — the full pipeline.  With mappings installed
     the rewriting is *unfolded* and evaluated over the raw database;
     without, it is evaluated over the loaded ABox relations. *)

@@ -151,17 +151,27 @@ let evict_back (t : ('k, 'v) t) =
     t.evictions <- t.evictions + 1;
     obs_count t (fun o -> o.o_evictions)
 
-(** [find t k] returns the cached value and promotes the entry. *)
-let find (t : ('k, 'v) t) k =
+let count_miss (t : ('k, 'v) t) =
+  t.misses <- t.misses + 1;
+  obs_count t (fun o -> o.o_misses)
+
+(** [find ?hit t k] returns the cached value and promotes the entry.
+    The lookup counts as a hit only when [hit] holds of the value
+    (default: always); a binding the caller is about to refresh in
+    place, such as a version-stamped answer set that predates the
+    current version, is returned but counted as a miss. *)
+let find ?(hit = fun _ -> true) (t : ('k, 'v) t) k =
   match Hashtbl.find_opt t.table k with
   | Some n ->
-    t.hits <- t.hits + 1;
-    obs_count t (fun o -> o.o_hits);
+    if hit n.value then begin
+      t.hits <- t.hits + 1;
+      obs_count t (fun o -> o.o_hits)
+    end
+    else count_miss t;
     promote t n;
     Some n.value
   | None ->
-    t.misses <- t.misses + 1;
-    obs_count t (fun o -> o.o_misses);
+    count_miss t;
     None
 
 (** [mem t k] — membership without promotion or counter updates. *)

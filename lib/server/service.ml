@@ -12,10 +12,25 @@
       of exactly those inputs, so the entries survive data updates — the
       OBDA promise that reasoning cost is paid on the TBox — and even
       TBox {e reverts} re-hit, since the fingerprint is structural;
-    - the {e answer cache} (per session) maps [(version, query)] to the
-      canonical (sorted, deduplicated) answer set.  Any update bumps the
-      version, so stale answers become unreachable and age out of the
-      LRU.
+    - the {e answer cache} (per session) maps a query to its canonical
+      (sorted, deduplicated) answer set, stamped with the version it was
+      computed at.  An entry at the current version is served as stored.
+      An older one is refreshed and replaced in place, never left to
+      linger: UCQ answers are monotone under insertion, so when only
+      rows were inserted since its stamp, the refresh evaluates just the
+      delta rule over those rows ({!Obda.Cq.evaluate_ucq_delta}) and
+      merges the result into the stored list.  Any other staleness takes
+      the full evaluation path.
+
+    What makes a delta refresh possible is the session's {e fact
+    journal}: the rows every FACTS and ABOX load inserted since the last
+    non-monotone change, each batch tagged with the version its load
+    produced.  A TBox or mappings load (the compiled rewriting changes),
+    BULK END or ABORT (chunks insert without a version bump, so they are
+    not journaled), a load that would take the journal past
+    {!journal_bound} rows, and a load that fails part-way (its inserted
+    prefix is in no batch) all clear it and move its start to the new
+    version.  An entry stamped before the start is refreshed in full.
 
     The classification cache is fingerprint-keyed too, shared across
     sessions.  Correctness of the whole scheme — cached answers
@@ -93,7 +108,13 @@ type session = {
   mutable tbox_fp : string;
   mutable map_fp : string;
   prepared : (string, string) Hashtbl.t;  (** name -> raw query text *)
-  answers : (string, string list list) Lru.t;
+  answers : (string, int * string list list) Lru.t;
+      (** query -> (version computed at, canonical answers) *)
+  mutable journal : (int * (string * string list) list) list;
+      (** the fact journal: (version, rows inserted by that load),
+          newest first *)
+  mutable journal_start : int;  (** version the journal was last cleared at *)
+  mutable journal_rows : int;   (** rows held by [journal] *)
   (* durable replay sources: the payload text that rebuilds the current
      TBox, and — because mapping text parses against the signature in
      force when it was loaded — the (tbox text, mappings text) pair from
@@ -103,7 +124,8 @@ type session = {
   mutable d_map : (string list * string list) option;
   mutable bulk : bulk_state option;
       (** active BULK stream: chunks apply without a version bump, asks
-          bypass the answer cache, END bumps once *)
+          bypass the answer cache, END bumps once and clears the
+          journal *)
 }
 
 (** The node's replication role.  A [Replica] refuses every mutating
@@ -147,6 +169,8 @@ type t = {
   sessions : (string, session) Hashtbl.t;
   rewrites : (string, Obda.Cq.ucq) Lru.t;
   classifications : (string, Quonto.Classify.t) Lru.t;
+  answered : Obs.Counter.t * Obs.Counter.t * Obs.Counter.t;
+      (** [obda_answers_total] by path: hit, delta, full *)
 }
 
 (** [create ?config ?registry ()] — all service knobs arrive through
@@ -176,6 +200,11 @@ let create ?(config = Config.default) ?(registry = Obs.default) () =
         ~metrics:(registry, [ ("cache", "classify") ])
         ~capacity:(max 1 (min config.Config.lru 16))
         ();
+    answered =
+      (let path p =
+         Obs.Registry.counter registry ~labels:[ ("path", p) ] "obda_answers_total"
+       in
+       (path "hit", path "delta", path "full"));
   }
 
 let registry t = t.registry
@@ -299,6 +328,22 @@ let rebuild_engine t s =
 
 let bump s = s.version <- s.version + 1
 
+(** The most rows the fact journal holds, the largest k of the
+    ["incremental"] section of [BENCH_serve.json]: from 100k tuples up a
+    delta refresh over that many rows is at worst even with a full
+    evaluation, while on small data the cheapest queries lose about a
+    millisecond near it.  A load that would overflow it clears the
+    journal instead — as recovery's whole-database FACTS replay always
+    does. *)
+let journal_bound = 4096
+
+(* after a non-monotone change (and its bump): no cached entry stamped
+   before now can be refreshed by delta *)
+let clear_journal s =
+  s.journal <- [];
+  s.journal_rows <- 0;
+  s.journal_start <- s.version
+
 let fresh_session t name =
   let database = Obda.Database.create () in
   let tbox = Tbox.empty in
@@ -319,6 +364,9 @@ let fresh_session t name =
       Lru.create
         ~metrics:(t.registry, [ ("cache", "answers"); ("session", name) ])
         ~capacity:t.config.Config.lru ();
+    journal = [];
+    journal_start = 0;
+    journal_rows = 0;
     d_tbox_text = [];
     d_map = None;
     bulk = None;
@@ -355,7 +403,8 @@ let op_set_tbox t s ~source tbox =
   s.tbox_fp <- Tbox.fingerprint tbox;
   s.d_tbox_text <- source;
   rebuild_engine t s;
-  bump s
+  bump s;
+  clear_journal s
 
 let op_set_mappings t s ~source mappings =
   (* mapping text parses against the signature in force *now*: remember
@@ -364,11 +413,27 @@ let op_set_mappings t s ~source mappings =
   s.mappings <- mappings;
   s.map_fp <- fp_mappings mappings;
   rebuild_engine t s;
-  bump s
+  bump s;
+  clear_journal s
 
+(* a load that fails part-way (a row of the wrong arity) has inserted a
+   prefix of its rows that no journal batch holds: bump and clear, so
+   every cached entry takes the full path instead of a delta that would
+   miss those rows *)
 let op_insert_facts s rows =
-  List.iter (fun (rel, row) -> Obda.Database.insert s.database rel row) rows;
-  bump s
+  (match List.iter (fun (rel, row) -> Obda.Database.insert s.database rel row) rows with
+   | () -> ()
+   | exception e ->
+     bump s;
+     clear_journal s;
+     raise e);
+  bump s;
+  let n = List.length rows in
+  if s.journal_rows + n > journal_bound then clear_journal s
+  else begin
+    s.journal <- (s.version, rows) :: s.journal;
+    s.journal_rows <- s.journal_rows + n
+  end
 
 let op_classification t s =
   match locked t.cache_mutex (fun () -> Lru.find t.classifications s.tbox_fp) with
@@ -380,47 +445,75 @@ let op_classification t s =
     locked t.cache_mutex (fun () -> Lru.put t.classifications s.tbox_fp cls);
     cls
 
+let compiled_query t s qkey q =
+  let rkey =
+    Printf.sprintf "%s|%s|%s|%s" s.tbox_fp s.map_fp
+      (Obda.Engine.string_of_mode t.config.Config.mode)
+      qkey
+  in
+  match locked t.cache_mutex (fun () -> Lru.find t.rewrites rkey) with
+  | Some compiled -> compiled
+  | None ->
+    let compiled = Obda.Engine.compile s.engine [ q ] in
+    locked t.cache_mutex (fun () -> Lru.put t.rewrites rkey compiled);
+    compiled
+
+(* the journaled rows inserted after version [since], as a database the
+   delta atom reads *)
+let journal_since s since =
+  let delta = Obda.Database.create () in
+  let rec go = function
+    | (v, rows) :: older when v > since ->
+      List.iter (fun (rel, row) -> Obda.Database.insert delta rel row) rows;
+      go older
+    | _ -> ()
+  in
+  go s.journal;
+  delta
+
 (* the cached certain-answers pipeline; answers are canonicalized
-   (sorted, deduplicated) before caching so every consumer — wire
-   replies, the conformance subject, the QCheck property — sees one
-   deterministic byte representation.  This is the single rendering
-   point the [Database] ordering contract leans on: the cost-based
-   executor underneath returns tuples in plan-dependent order (its
-   selectivity-ordered plan is chosen fresh per evaluation against the
-   live index statistics, so even the same compiled UCQ may execute in
-   a different atom order after a data update), and the sort here makes
-   that invisible.  The answer cache stays sound unchanged: plans
-   depend on data only through the current database, and the
-   [(version, query)] key already bumps on every data update *)
+   (sorted by [Cq.compare_tuple], deduplicated) before caching so every
+   consumer — wire replies, the conformance subject, the QCheck
+   property — sees one deterministic byte representation.  This is the
+   single rendering point the [Database] ordering contract leans on:
+   the cost-based executor underneath returns tuples in plan-dependent
+   order (its selectivity-ordered plan is chosen fresh per evaluation
+   against the live index statistics), and the sort here makes that
+   invisible.  An entry is served as stored only at the current
+   version; an older one is refreshed by delta when the journal covers
+   everything since its stamp, in full otherwise (see the header) *)
 let op_ask t s q =
   let qkey = Obda.Cq.show q in
-  let akey = Printf.sprintf "%d|%s" s.version qkey in
   (* during an active BULK stream the version is deliberately not
      bumped per chunk, so the answer cache is bypassed in both
      directions: a hit would serve pre-bulk answers as if current, and
      a miss computed over half-streamed data must not be cached under a
-     key that outlives the stream *)
+     stamp that outlives the stream *)
   let bulk_active = s.bulk <> None in
-  match (if bulk_active then None else Lru.find s.answers akey) with
-  | Some tuples -> tuples
-  | None ->
-    let rkey =
-      Printf.sprintf "%s|%s|%s|%s" s.tbox_fp s.map_fp
-        (Obda.Engine.string_of_mode t.config.Config.mode)
-        qkey
-    in
-    let compiled =
-      match locked t.cache_mutex (fun () -> Lru.find t.rewrites rkey) with
-      | Some compiled -> compiled
-      | None ->
-        let compiled = Obda.Engine.compile s.engine [ q ] in
-        locked t.cache_mutex (fun () -> Lru.put t.rewrites rkey compiled);
-        compiled
-    in
+  let current (v, _) = v = s.version in
+  let hit, delta, full = t.answered in
+  match
+    if bulk_active then None else Lru.find ~hit:current s.answers qkey
+  with
+  | Some (v, tuples) when v = s.version ->
+    Obs.Counter.incr hit;
+    tuples
+  | cached ->
+    let compiled = compiled_query t s qkey q in
     let tuples =
-      List.sort_uniq compare (Obda.Engine.evaluate_compiled s.engine compiled)
+      match cached with
+      | Some (v, old) when v >= s.journal_start ->
+        Obs.Counter.incr delta;
+        let added =
+          Obda.Engine.evaluate_delta s.engine compiled
+            ~delta:(journal_since s v)
+        in
+        Obda.Cq.merge_answers old (Obda.Cq.sort_answers added)
+      | _ ->
+        Obs.Counter.incr full;
+        Obda.Cq.sort_answers (Obda.Engine.evaluate_compiled s.engine compiled)
     in
-    if not bulk_active then Lru.put s.answers akey tuples;
+    if not bulk_active then Lru.put s.answers qkey (s.version, tuples);
     tuples
 
 (* ------------------------------ snapshots --------------------------- *)
@@ -677,7 +770,9 @@ let handle_load ?(log = true) t s kind payload =
    are already durable and stay.  The per-chunk version bump is
    deliberately skipped — [op_ask] bypasses the answer cache while a
    stream is active, and END performs the single bump that makes the
-   whole load visible to cached readers at once. *)
+   whole load visible to cached readers at once.  Chunks are not
+   journaled, so END and ABORT also clear the fact journal: every entry
+   cached before the stream is refreshed in full. *)
 
 let handle_bulk_chunk ?(log = true) t s payload =
   let text = String.concat "\n" payload in
@@ -710,6 +805,7 @@ let handle_bulk_end _t s =
   | Some b ->
     s.bulk <- None;
     if b.chunks > 0 then bump s;
+    clear_journal s;
     Wire.Ok [ Printf.sprintf "chunks %d facts %d" b.chunks b.facts ]
 
 (* closing the stream without END: acked chunks are durable and stay
@@ -721,6 +817,7 @@ let handle_bulk_abort _t s =
   | Some b ->
     s.bulk <- None;
     if b.chunks > 0 then bump s;
+    clear_journal s;
     Wire.Ok []
 
 let parse_query s text =

@@ -609,6 +609,76 @@ let prop_index_consistency =
             sorted_answers (Database.probe db name bound) = sorted_answers scan)
         ops)
 
+(* delta maintenance: for a random database D, a random UCQ and a random
+   insert batch Δ — fresh rows, duplicates within Δ, and rows already
+   in D — merging D's answers with the delta rule's answers over Δ is
+   exactly the canonical answer set over D ∪ Δ, which is the naive
+   oracle's.  Disjuncts share an arity by keeping those with enough
+   variables. *)
+let gen_exec_ucq =
+  QCheck.Gen.(
+    let* arity = int_bound 2 in
+    let* disjuncts = list_size (int_range 1 3) gen_exec_query in
+    let occurring q =
+      List.concat_map
+        (fun a -> List.filter_map (function Cq.Var v -> Some v | _ -> None) a.Cq.args)
+        q.Cq.body
+      |> List.sort_uniq compare
+    in
+    return
+      (List.filter_map
+         (fun q ->
+           let vars = occurring q in
+           if List.length vars < arity then None
+           else Some { q with Cq.answer_vars = List.filteri (fun i _ -> i < arity) vars })
+         disjuncts))
+
+let gen_delta_case =
+  QCheck.Gen.(
+    let* d = gen_exec_db in
+    let* fresh = list_size (int_bound 8) gen_exec_insert in
+    let* picks = list_size (int_bound 4) (int_bound 1000) in
+    let pick l i = List.nth l (i mod List.length l) in
+    let already = if d = [] then [] else List.map (pick d) picks in
+    let repeated = if fresh = [] then [] else List.map (pick fresh) picks in
+    let* ucq = gen_exec_ucq in
+    return (d, fresh @ already @ repeated, ucq))
+
+let arbitrary_delta_case =
+  let show inserts =
+    String.concat "; "
+      (List.map (fun (n, row) -> n ^ "(" ^ String.concat "," row ^ ")") inserts)
+  in
+  QCheck.make
+    ~print:(fun (d, delta, ucq) ->
+      Printf.sprintf "D: %s\nΔ: %s\nucq: %s" (show d) (show delta)
+        (String.concat " | " (List.map Cq.to_string ucq)))
+    gen_delta_case
+
+let prop_delta_matches_full =
+  QCheck.Test.make ~count:300
+    ~name:"merged delta answers = full answers = naive answers after insert"
+    arbitrary_delta_case
+    (fun (d, delta, ucq) ->
+      List.for_all
+        (fun join_threshold ->
+          let db = db_of_inserts d in
+          let source = Database.source db in
+          let before = Cq.sort_answers (Cq.evaluate_ucq ~join_threshold ~source ucq) in
+          List.iter (fun (name, row) -> Database.insert db name row) delta;
+          let added =
+            Cq.evaluate_ucq_delta ~join_threshold ~source
+              ~delta:(Database.source (db_of_inserts delta)) ucq
+          in
+          let merged = Cq.merge_answers before (Cq.sort_answers added) in
+          let full = Cq.evaluate_ucq ~join_threshold ~source ucq in
+          let naive = Cq.Naive.evaluate_ucq ~facts:(Database.facts db) ucq in
+          merged = Cq.sort_answers full
+          && merged = List.sort_uniq compare naive
+          (* the monomorphic order is polymorphic compare's *)
+          && Cq.sort_answers naive = List.sort_uniq compare naive)
+        [ 0; max_int ])
+
 (* -------------------- property: rewriting vs chase ------------------- *)
 
 (* Random ABoxes over the small pools. *)
@@ -775,5 +845,6 @@ let () =
             prop_consistency_matches_chase;
             prop_indexed_matches_naive;
             prop_index_consistency;
+            prop_delta_matches_full;
           ] );
     ]

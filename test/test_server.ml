@@ -434,6 +434,90 @@ let test_service_bulk_stream () =
   | Wire.Err _ -> ()
   | _ -> Alcotest.fail "END after ABORT must ERR"
 
+(* how each ask was answered: served as stored, refreshed by delta after
+   a one-row FACTS load (and equal to a fresh engine's answer), then
+   refreshed in full after a TBox load clears the fact journal.  Only
+   the first kind counts as an answer-cache hit. *)
+let test_service_answer_paths () =
+  let registry = Obs.Registry.create () in
+  let t = Service.create ~config:{ Service.Config.default with lru = 8 } ~registry () in
+  let counted name labels =
+    List.find_map
+      (fun { Obs.name = n; labels = l; value } ->
+        if n = name && l = labels then Some (int_of_float value) else None)
+      (Obs.Registry.samples registry)
+    |> Option.value ~default:0
+  in
+  let paths () =
+    List.map
+      (fun p -> counted "obda_answers_total" [ ("path", p) ])
+      [ "hit"; "delta"; "full" ]
+  in
+  let tbox = [ "concept A"; "role p" ] in
+  let mappings = [ "map A(x) <- t(x)"; "map p(x, y) <- r(x, y)" ] in
+  let facts = ref [ "t(a)"; "t(b)"; "r(a, b)"; "r(c, a)" ] in
+  let query = "x, y <- A(x), p(x, y)" in
+  load t "d" Wire.K_tbox tbox;
+  load t "d" Wire.K_mappings mappings;
+  load t "d" Wire.K_facts !facts;
+  let fresh () =
+    let tb =
+      match Parser.tbox_of_string (String.concat "\n" tbox) with
+      | Result.Ok tb -> tb
+      | Result.Error e -> Alcotest.fail e
+    in
+    let signature = Tbox.signature tb in
+    let database = Obda.Database.create () in
+    List.iter
+      (fun (rel, row) -> Obda.Database.insert database rel row)
+      (Obda.Qparse.parse_facts (String.concat "\n" !facts));
+    let engine =
+      Obda.Engine.create ~tbox:tb
+        ~mappings:(Obda.Qparse.parse_mappings ~signature (String.concat "\n" mappings))
+        ~database ()
+    in
+    List.map Service.render_tuple
+      (List.sort_uniq compare
+         (Obda.Engine.certain_answers engine (Obda.Qparse.parse_query ~signature query)))
+  in
+  Alcotest.(check (list string)) "cold" [ "a, b" ] (ask t "d" query);
+  Alcotest.(check (list int)) "cold ask: full" [ 0; 0; 1 ] (paths ());
+  ignore (ask t "d" query);
+  Alcotest.(check (list int)) "repeat: hit" [ 1; 0; 1 ] (paths ());
+  (* one row that joins with a stored one: the delta rule must find the
+     new answer through either atom *)
+  load t "d" Wire.K_facts [ "r(b, c)" ];
+  facts := !facts @ [ "r(b, c)" ];
+  let refreshed = ask t "d" query in
+  Alcotest.(check (list int)) "after one-row load: delta" [ 1; 1; 1 ] (paths ());
+  Alcotest.(check (list string)) "delta = fresh engine" (fresh ()) refreshed;
+  Alcotest.(check (list string)) "new answer present" [ "a, b"; "b, c" ] refreshed;
+  load t "d" Wire.K_facts [ "t(c)" ];
+  facts := !facts @ [ "t(c)" ];
+  Alcotest.(check (list string)) "delta through the other atom" (fresh ())
+    (ask t "d" query);
+  Alcotest.(check (list int)) "second delta" [ 1; 2; 1 ] (paths ());
+  load t "d" Wire.K_tbox tbox;
+  Alcotest.(check (list string)) "after TBox load" (fresh ()) (ask t "d" query);
+  Alcotest.(check (list int)) "after TBox load: full" [ 1; 2; 2 ] (paths ());
+  Alcotest.(check int) "only stored answers count as cache hits" 1
+    (counted "obda_cache_hits_total" [ ("cache", "answers"); ("session", "d") ]);
+  (* a FACTS load that fails part-way leaves its first row stored but in
+     no journal batch; the next, unrelated load must not let a delta
+     refresh skip that row *)
+  ignore (ask t "d" query);
+  (match
+     Service.handle t
+       (Wire.Load { session = "d"; kind = Wire.K_facts; payload = [ "r(c, d)"; "r(e)" ] })
+   with
+   | Wire.Err _ | (exception Invalid_argument _) -> ()
+   | _ -> Alcotest.fail "a mixed-arity load must fail");
+  facts := !facts @ [ "r(c, d)" ];
+  load t "d" Wire.K_facts [ "u(z)" ];
+  facts := !facts @ [ "u(z)" ];
+  Alcotest.(check (list string)) "after a failed load" (fresh ()) (ask t "d" query);
+  Alcotest.(check (list int)) "after a failed load: full" [ 2; 2; 3 ] (paths ())
+
 (* quoted constants keep their commas and may be empty, whether they
    arrive as FACTS, as ABOX assertions or inside a query *)
 let test_service_quoted_constants () =
@@ -619,6 +703,15 @@ let reference_answers tbox assertions query =
   List.map Service.render_tuple
     (List.sort_uniq compare (Obda.Engine.certain_answers engine query))
 
+(* assertions as FACTS lines over their tagged relations: the form BULK
+   chunks take, and one that parses whatever the current TBox *)
+let facts_of assertions =
+  List.map
+    (fun a ->
+      let rel, row = Obda.Vabox.fact_of_assertion a in
+      Service.fact_line rel row)
+    assertions
+
 let scenario_agrees ~capacity seed =
   let rng = Ontgen.Rng.create seed in
   let service = Service.create ~config:{ Service.Config.default with lru = capacity } () in
@@ -629,9 +722,20 @@ let scenario_agrees ~capacity seed =
   let queries = ref [ Ontgen.Casegen.query rng ] in
   let ops = 14 + Ontgen.Rng.int rng 8 in
   let failure = ref None in
+  let check_ask () =
+    (* usually a repeat of an earlier query: repeats are where a stale
+       cache entry would surface *)
+    let query = List.nth !queries (Ontgen.Rng.int rng (List.length !queries)) in
+    let served =
+      ask service session
+        (Obda.Qparse.query_text ~signature:(Tbox.signature !tbox) query)
+    in
+    let fresh = reference_answers !tbox !assertions query in
+    if served <> fresh && !failure = None then failure := Some (query, served, fresh)
+  in
   for _ = 1 to ops do
     if !failure = None then
-      match Ontgen.Rng.int rng 10 with
+      match Ontgen.Rng.int rng 12 with
       | 0 | 1 ->
         (* swap the TBox (sometimes swap *back* to an earlier structure
            by regenerating from a fresh rng — fingerprint re-hits) *)
@@ -643,16 +747,29 @@ let scenario_agrees ~capacity seed =
         add_abox service session (Abox.assertions abox)
       | 4 ->
         queries := Ontgen.Casegen.query rng :: !queries
-      | _ ->
-        (* ask, usually a repeat of an earlier query: repeats are where
-           a stale cache entry would surface *)
-        let query = List.nth !queries (Ontgen.Rng.int rng (List.length !queries)) in
-        let served =
-          ask service session
-            (Obda.Qparse.query_text ~signature:(Tbox.signature !tbox) query)
-        in
-        let fresh = reference_answers !tbox !assertions query in
-        if served <> fresh then failure := Some (query, served, fresh)
+      | 10 ->
+        (* re-load rows that are already stored: a journaled batch that
+           adds no answers *)
+        let again = List.filter (fun _ -> Ontgen.Rng.bool rng 0.5) !assertions in
+        load service session Wire.K_facts (facts_of again)
+      | 11 ->
+        (* a BULK stream: chunks (visible at once, never cached), asks
+           mid-stream, then END or ABORT *)
+        for _ = 0 to Ontgen.Rng.int rng 3 do
+          let chunk = Abox.assertions (Ontgen.Casegen.abox rng) in
+          assertions := !assertions @ chunk;
+          ignore
+            (ok
+               (Service.handle service
+                  (Wire.Bulk_chunk { session; payload = facts_of chunk })));
+          if Ontgen.Rng.bool rng 0.5 then check_ask ()
+        done;
+        ignore
+          (ok
+             (Service.handle service
+                (if Ontgen.Rng.bool rng 0.5 then Wire.Bulk_end { session }
+                 else Wire.Bulk_abort { session })))
+      | _ -> check_ask ()
   done;
   match !failure with
   | None -> true
@@ -713,6 +830,7 @@ let () =
           Alcotest.test_case "quoted constants" `Quick
             test_service_quoted_constants;
           Alcotest.test_case "bulk stream" `Quick test_service_bulk_stream;
+          Alcotest.test_case "answer paths" `Quick test_service_answer_paths;
         ] );
       ( "line-reader",
         [ Alcotest.test_case "crlf" `Quick test_read_line_crlf ] );
