@@ -364,9 +364,10 @@ let sql_cmd =
     match
       let mappings = Obda.Qparse.parse_mappings ~signature (read_file mappings_path) in
       let q = Obda.Qparse.parse_query ~signature query_text in
-      let rewritten, _ = Obda.Rewrite.perfect_ref tbox [ q ] in
-      let unfolded = Obda.Mapping.unfold_ucq mappings rewritten in
-      Obda.Sql.to_string (Obda.Sql.of_ucq unfolded)
+      let engine =
+        Obda.Engine.create ~tbox ~mappings ~database:(Obda.Database.create ()) ()
+      in
+      Obda.Sql.to_string (Obda.Sql.of_ucq (Obda.Engine.compile engine [ q ]))
     with
     | sql -> print_endline sql
     | exception Obda.Qparse.Parse_error e ->

@@ -14,7 +14,7 @@
 
 open Cmdliner
 
-let run unix_path tcp_port host workers queue timeout lru presto slow_log
+let run unix_path tcp_port host workers queue timeout lru slow_log
     data_dir snapshot_every snapshot_bytes group_commit chaos replica_of
     cluster_members advertise =
   if unix_path = None && tcp_port = None then begin
@@ -46,9 +46,7 @@ let run unix_path tcp_port host workers queue timeout lru presto slow_log
      only place flags and Service wiring meet *)
   let service_config =
     {
-      Server.Service.Config.mode =
-        (if presto then Obda.Engine.Presto else Obda.Engine.Perfect_ref);
-      lru;
+      Server.Service.Config.lru;
       slow_log_s = (match slow_log with Some s -> s | None -> infinity);
       chaos;
     }
@@ -145,10 +143,8 @@ let run unix_path tcp_port host workers queue timeout lru presto slow_log
       let bound = Server.Serve.listen_tcp srv ~host ~port in
       Printf.printf "listening on tcp:%s:%d\n%!" host bound)
     tcp_port;
-  Printf.printf "workers=%d queue=%d timeout=%.1fs lru=%d mode=%s proto=v%d\n%!"
-    workers queue timeout lru
-    (Obda.Engine.string_of_mode service_config.Server.Service.Config.mode)
-    Server.Wire.max_version;
+  Printf.printf "workers=%d queue=%d timeout=%.1fs lru=%d proto=v%d\n%!"
+    workers queue timeout lru Server.Wire.max_version;
   Server.Serve.start srv;
   (* all worker domains / handler threads inherit the blocked mask set
      below, so TERM and INT are delivered to exactly this sigwait *)
@@ -202,10 +198,6 @@ let () =
   let lru_arg =
     Arg.(value & opt int 256
          & info [ "lru" ] ~docv:"N" ~doc:"LRU capacity of the service caches.")
-  in
-  let presto_arg =
-    Arg.(value & flag
-         & info [ "presto" ] ~doc:"Use the classification-aided rewriter.")
   in
   let slow_log_arg =
     Arg.(value & opt (some float) None
@@ -285,6 +277,6 @@ let () =
        (Cmd.v info
           Term.(
             const run $ unix_arg $ tcp_arg $ host_arg $ workers_arg $ queue_arg
-            $ timeout_arg $ lru_arg $ presto_arg $ slow_log_arg $ data_dir_arg
+            $ timeout_arg $ lru_arg $ slow_log_arg $ data_dir_arg
             $ snapshot_every_arg $ snapshot_bytes_arg $ group_commit_arg $ chaos_arg $ replica_of_arg $ cluster_arg
             $ advertise_arg)))

@@ -115,29 +115,6 @@ let match_atom subst a1 a2 =
       (fun acc t1 t2 -> match acc with None -> None | Some s -> match_term s t1 t2)
       (Some subst) a1.args a2.args
 
-(** [homomorphism q1 q2] finds a homomorphism from [q1]'s body into
-    [q2]'s body that maps [q1]'s answer tuple onto [q2]'s answer tuple —
-    the witness for [q2 ⊆ q1] once [q2] is frozen. *)
-let homomorphism q1 q2 =
-  if List.length q1.answer_vars <> List.length q2.answer_vars then None
-  else
-    let init =
-      List.fold_left2
-        (fun s v1 v2 -> Subst.add v1 (Var v2) s)
-        Subst.empty q1.answer_vars q2.answer_vars
-    in
-    let rec go subst = function
-      | [] -> Some subst
-      | a :: rest ->
-        List.find_map
-          (fun b ->
-            match match_atom subst a b with
-            | Some subst' -> go subst' rest
-            | None -> None)
-          q2.body
-    in
-    go init q1.body
-
 (** [contains q1 q2] — [q2 ⊆ q1] as queries (every answer of [q2] is an
     answer of [q1]), decided by homomorphism from [q1] into [q2] with
     [q2]'s variables frozen as constants. *)
@@ -557,32 +534,35 @@ module Tuple_sink = struct
   let to_list t = Array.fold_left (fun acc b -> List.rev_append b acc) [] t.buckets
 end
 
-(* one join step: extend every binding through the compiled atom.
+(* the candidate rows of one join step, as a function of the binding.
    Strategy is adaptive on the intermediate cardinality: small binding
-   sets scan-and-filter (nested loop — no index touched), large ones
-   probe the pattern hash index once per binding (hash join).  Atoms
-   with no bound position can only scan. *)
-let step_c join_threshold bindings (source, a, spec, arity, bp) =
-  let use_hash = bp <> [] && List.compare_length_with bindings join_threshold >= 0 in
-  let candidates =
-    if use_hash then begin
-      Obs.Counter.incr m_hash;
-      fun binding ->
-        let key =
-          List.map
-            (fun (i, k) ->
-              match k with `Const c -> (i, c) | `Slot s -> (i, binding.(s)))
-            bp
-        in
-        Obs.Counter.incr m_probes;
-        source.probe a.pred key
-    end
-    else begin
-      Obs.Counter.incr m_nested_loop;
-      let rows = source.all a.pred in
-      fun _ -> rows
-    end
-  in
+   sets scan-and-filter (nested loop — no index touched, one row list
+   shared by every binding), large ones probe the pattern hash index on
+   the step's bound positions (hash join — one probe per call).  Atoms
+   with no bound position can only scan.  Counts the strategy once per
+   step and every probe. *)
+let candidates_of join_threshold bindings (source, a, _, _, bp) =
+  if bp <> [] && List.compare_length_with bindings join_threshold >= 0 then begin
+    Obs.Counter.incr m_hash;
+    fun binding ->
+      let key =
+        List.map
+          (fun (i, k) ->
+            match k with `Const c -> (i, c) | `Slot s -> (i, binding.(s)))
+          bp
+      in
+      Obs.Counter.incr m_probes;
+      source.probe a.pred key
+  end
+  else begin
+    Obs.Counter.incr m_nested_loop;
+    let rows = source.all a.pred in
+    fun _ -> rows
+  end
+
+(* one join step: extend every binding through the compiled atom *)
+let step_c join_threshold bindings ((_, _, spec, arity, _) as step) =
+  let candidates = candidates_of join_threshold bindings step in
   let out = ref [] in
   List.iter
     (fun binding ->
@@ -679,33 +659,13 @@ let evaluate_into ?delta ~sink ~join_threshold ~source q =
         [ Array.make !nslots unbound ]
         (List.rev rev_init)
     in
-    let source, a, spec, arity, bp = last in
-    let use_hash =
-      bp <> [] && List.compare_length_with bindings join_threshold >= 0
-    in
+    let _, _, spec, arity, _ = last in
     (* pair every binding with its candidate rows up front: the total
        candidate count (an upper bound on new tuples) drives the sink's
        reserve, and each index is probed exactly once per binding *)
     let candidates =
-      if use_hash then begin
-        Obs.Counter.incr m_hash;
-        List.map
-          (fun binding ->
-            let key =
-              List.map
-                (fun (i, k) ->
-                  match k with `Const c -> (i, c) | `Slot s -> (i, binding.(s)))
-                bp
-            in
-            Obs.Counter.incr m_probes;
-            (binding, source.probe a.pred key))
-          bindings
-      end
-      else begin
-        Obs.Counter.incr m_nested_loop;
-        let rows = source.all a.pred in
-        List.map (fun binding -> (binding, rows)) bindings
-      end
+      let rows_of = candidates_of join_threshold bindings last in
+      List.map (fun binding -> (binding, rows_of binding)) bindings
     in
     let total =
       List.fold_left (fun acc (_, rows) -> acc + List.length rows) 0 candidates

@@ -3,18 +3,27 @@
     enriched by exploiting the constraints that can be expressed by the
     ontology".
 
-    The certain-answers pipeline is the textbook one:
-    {v  UCQ over ontology --(PerfectRef)--> UCQ over virtual ABox
-        --(mapping unfolding)--> UCQ over database --(evaluate)--> answers  v}
+    The certain-answers pipeline is the textbook one, with a single
+    minimization at the end:
+    {v  UCQ over ontology --(PerfectRef saturation)--> UCQ over virtual ABox
+        --(mapping unfolding)--> UCQ over database --(minimize)-->
+        compiled UCQ --(evaluate)--> answers  v}
 
-    A materialized-ABox mode short-circuits the mapping layer for
-    standalone (database-less) knowledge bases.
+    Unfolding comes before minimization because it is what shrinks the
+    rewriting: a disjunct mentioning a predicate no mapping covers dies
+    there, so the quadratic containment test runs over the few
+    database-level disjuncts instead of every ontology-level one.  A
+    materialized-ABox engine ([of_abox]) has no mapping layer; its
+    compile minimizes the saturation itself.
 
     An engine amortizes its TBox-level work: the classification and the
-    prepared rewriting rule bases (normalization + rule indexing) are
+    prepared PerfectRef rule base (normalization + rule indexing) are
     computed lazily, once, and shared by every subsequent call — in
     particular the consistency check, which rewrites one violation query
-    per negative inclusion, no longer re-prepares the TBox for each. *)
+    per negative inclusion, no longer re-prepares the TBox for each.
+    The classification-aided rule base ([Rewrite.presto_ref]) is a
+    reference implementation for tests and benches, not a serving
+    mode. *)
 
 open Dllite
 
@@ -22,64 +31,45 @@ let log_src = Logs.Src.create "obda.engine" ~doc:"OBDA query answering"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type rewriting_mode =
-  | Perfect_ref  (** vanilla PerfectRef over told axioms *)
-  | Presto       (** classification-aided rule base (ablation A4) *)
-
-let string_of_mode = function Perfect_ref -> "perfectref" | Presto -> "presto"
-
 type t = {
   tbox : Tbox.t;
   mappings : Mapping.t;
   database : Database.t;
-  mode : rewriting_mode;
   constraints : Constraints.t list;
       (* functionality / identification constraints, checked at the
          data level (see [Integrity]) *)
   cls : Quonto.Classify.t Lazy.t;
       (* the shared classification: forced at most once per engine *)
   prepared : Rewrite.prepared Lazy.t;
-      (* the mode's rule base, shared by rewriting and consistency *)
+      (* the PerfectRef rule base, shared by compiling and consistency *)
 }
 
-let assemble ~mode ~constraints ~tbox ~mappings ~database () =
+(** [create ?constraints ~tbox ~mappings ~database ()] assembles a
+    system.  @raise Invalid_argument when the constraints violate the
+    DL-Lite_A admissibility condition w.r.t. [tbox]. *)
+let create ?(constraints = []) ~tbox ~mappings ~database () =
+  (match Constraints.well_formed tbox constraints with
+   | [] -> ()
+   | v :: _ -> invalid_arg ("Engine.create: " ^ v.Constraints.reason));
   {
     tbox;
     mappings;
     database;
-    mode;
     constraints;
     cls = lazy (Quonto.Classify.classify tbox);
-    prepared =
-      (match mode with
-       | Perfect_ref -> lazy (Rewrite.prepare tbox)
-       | Presto -> lazy (Rewrite.prepare_presto tbox));
+    prepared = lazy (Rewrite.prepare tbox);
   }
 
-(** [create ?mode ?constraints ~tbox ~mappings ~database ()] assembles
-    a system.  @raise Invalid_argument when the constraints violate the
-    DL-Lite_A admissibility condition w.r.t. [tbox]. *)
-let create ?(mode = Perfect_ref) ?(constraints = []) ~tbox ~mappings ~database
-    () =
-  (match Constraints.well_formed tbox constraints with
-   | [] -> ()
-   | v :: _ -> invalid_arg ("Engine.create: " ^ v.Constraints.reason));
-  assemble ~mode ~constraints ~tbox ~mappings ~database ()
-
-(** [of_abox ?mode tbox abox] wraps a materialized ABox as a degenerate
-    OBDA system: one identity-style mapping per named predicate is not
-    even needed — the ABox is loaded as ontology-level relations in a
-    private database and queried directly. *)
-let of_abox ?(mode = Perfect_ref) tbox abox =
-  assemble ~mode ~constraints:[] ~tbox ~mappings:[]
-    ~database:(Vabox.database_of_abox abox) ()
+(** [of_abox tbox abox] wraps a materialized ABox as a degenerate OBDA
+    system: one identity-style mapping per named predicate is not even
+    needed — the ABox is loaded as ontology-level relations in a private
+    database and queried directly. *)
+let of_abox tbox abox =
+  create ~tbox ~mappings:[] ~database:(Vabox.database_of_abox abox) ()
 
 let tbox t = t.tbox
 let mappings t = t.mappings
 let database t = t.database
-let mode t = t.mode
-
-let rewrite t ucq = Rewrite.apply (Lazy.force t.prepared) ucq
 
 (** [ontology_facts t] is the database seen at the ontology level:
     the mappings' materialized ABox when mappings are present, the
@@ -89,23 +79,29 @@ let ontology_facts t =
   if t.mappings = [] then t.database
   else Vabox.database_of_abox (Mapping.materialize t.mappings t.database)
 
-(** [compile t ucq] is the data-independent half of the pipeline: the
-    rewriting of [ucq], unfolded through the mappings when present.  The
-    result is a UCQ over the database schema, ready for
-    [evaluate_compiled] — and, being a pure function of (TBox, mappings,
-    mode, query), safely cacheable across data updates (the serving
-    layer does exactly that). *)
+(** [compile t ucq] is the data-independent half of the pipeline, and
+    the one place a query becomes a database UCQ: saturate [ucq] under
+    the PerfectRef rule base, unfold the saturation through the mappings
+    when present, then minimize once.  The result is ready for
+    [evaluate_compiled] and, being a pure function of (TBox, mappings,
+    query), safely cacheable across data updates (the serving layer does
+    exactly that).  All of it runs, and is timed, as the [rewrite]
+    phase. *)
 let compile t ucq =
-  let rewritten, stats = rewrite t ucq in
-  Log.debug (fun m ->
-      m "compile: rewriting has %d disjuncts" stats.Rewrite.output_size);
-  if t.mappings = [] then rewritten
-  else begin
-    let unfolded = Mapping.unfold_ucq t.mappings rewritten in
-    Log.debug (fun m ->
-        m "compile: %d disjuncts after unfolding" (List.length unfolded));
-    unfolded
-  end
+  let prepared = Lazy.force t.prepared in
+  Obs.span "rewrite" (fun () ->
+      let saturated, stats = Rewrite.expand prepared ucq in
+      let database_level =
+        if t.mappings = [] then saturated
+        else begin
+          let unfolded = Mapping.unfold_ucq t.mappings saturated in
+          Log.debug (fun m ->
+              m "compile: %d saturated disjuncts unfold to %d"
+                (List.length saturated) (List.length unfolded));
+          unfolded
+        end
+      in
+      fst (Rewrite.record prepared stats (Cq.minimize_ucq database_level)))
 
 (** [evaluate_compiled t ucq] — the data-dependent half: evaluate a
     compiled UCQ over the current database contents with the cost-based
@@ -139,9 +135,8 @@ let certain_answers_ucq t ucq = evaluate_compiled t (compile t ucq)
 let shared_rewrite t ucq = fst (Rewrite.apply (Lazy.force t.prepared) ucq)
 
 (** [consistent t] — KB consistency via rewritten violation queries,
-    sharing the engine's prepared rule base (and hence, in [Presto]
-    mode, its classification) instead of re-preparing per negative
-    inclusion. *)
+    sharing the engine's prepared rule base instead of re-preparing per
+    negative inclusion. *)
 let consistent t =
   Consistency.consistent ~rewrite:(shared_rewrite t) t.tbox
     ~source:(Database.source (ontology_facts t))

@@ -148,9 +148,9 @@ let unfold (mappings : t) (q : Cq.t) : Cq.ucq =
       else None)
     (expand q.Cq.body)
 
-(** [unfold_ucq mappings ucq] unfolds every disjunct and minimizes. *)
-let unfold_ucq mappings ucq =
-  Cq.minimize_ucq (List.concat_map (unfold mappings) ucq)
+(** [unfold_ucq mappings ucq] unfolds every disjunct.  The result is
+    not minimized: [Engine.compile] minimizes once, after unfolding. *)
+let unfold_ucq mappings ucq = List.concat_map (unfold mappings) ucq
 
 (* ------------------------------------------------------------------ *)
 (* Materialization                                                     *)

@@ -133,7 +133,9 @@ let index_told tbox =
 (** [index_classified tbox] indexes the *entailed* positive inclusions,
     read off the digraph classification — the Presto-style rule base.
     One application step then jumps an entire subsumption chain, so the
-    saturation converges in far fewer rounds (ablation A4). *)
+    saturation converges in far fewer rounds (ablation A4).  Every list
+    is one closure row, duplicate-free by construction, so the index is
+    built with plain stores — no membership test per subsumee. *)
 let index_classified tbox =
   let cls = Quonto.Classify.classify tbox in
   let idx =
@@ -145,52 +147,38 @@ let index_classified tbox =
       attr_into = Hashtbl.create 16;
     }
   in
-  let subsumees_of_basic b =
-    List.filter_map
-      (function Syntax.E_concept b' -> Some b' | _ -> None)
-      (Quonto.Classify.subsumees cls (Syntax.E_concept b))
+  (* the strict subsumees of [e] picked by [f], stored under [k] *)
+  let store tbl k e f =
+    match
+      List.filter_map
+        (fun e' -> if Syntax.equal_expr e' e then None else f e')
+        (Quonto.Classify.subsumees cls e)
+    with
+    | [] -> ()
+    | row -> Hashtbl.replace tbl k row
   in
+  let basic = function Syntax.E_concept b -> Some b | _ -> None in
   let signature = Tbox.signature tbox in
   List.iter
-    (fun a ->
-      List.iter
-        (fun b ->
-          if not (Syntax.equal_basic b (Syntax.Atomic a)) then
-            add_to idx.concept_into a b)
-        (subsumees_of_basic (Syntax.Atomic a)))
+    (fun a -> store idx.concept_into a (Syntax.E_concept (Syntax.Atomic a)) basic)
     (Signature.concepts signature);
   List.iter
     (fun p ->
       List.iter
-        (fun q ->
-          List.iter
-            (fun b ->
-              if not (Syntax.equal_basic b (Syntax.Exists q)) then
-                add_to idx.exists_into q b)
-            (subsumees_of_basic (Syntax.Exists q));
-          (* role-level subsumees, oriented on the base name *)
-          List.iter
-            (function
-              | Syntax.E_role q' when not (Syntax.equal_role q' q) ->
-                (match q with
-                 | Syntax.Direct p' -> add_to idx.role_into p' q'
-                 | Syntax.Inverse p' -> add_to idx.role_into p' (Syntax.role_inverse q'))
-              | _ -> ())
-            (Quonto.Classify.subsumees cls (Syntax.E_role q)))
-        [ Syntax.Direct p; Syntax.Inverse p ])
+        (fun q -> store idx.exists_into q (Syntax.E_concept (Syntax.Exists q)) basic)
+        [ Syntax.Direct p; Syntax.Inverse p ];
+      (* the [Inverse p] row is the mirror of this one *)
+      store idx.role_into p
+        (Syntax.E_role (Syntax.Direct p))
+        (function Syntax.E_role q -> Some q | _ -> None))
     (Signature.roles signature);
   List.iter
     (fun u ->
-      List.iter
-        (fun b ->
-          if not (Syntax.equal_basic b (Syntax.Attr_domain u)) then
-            add_to idx.attr_domain_into u b)
-        (subsumees_of_basic (Syntax.Attr_domain u));
-      List.iter
-        (function
-          | Syntax.E_attr v when v <> u -> add_to idx.attr_into u v
-          | _ -> ())
-        (Quonto.Classify.subsumees cls (Syntax.E_attr u)))
+      store idx.attr_domain_into u
+        (Syntax.E_concept (Syntax.Attr_domain u))
+        basic;
+      store idx.attr_into u (Syntax.E_attr u)
+        (function Syntax.E_attr v -> Some v | _ -> None))
     (Signature.attributes signature);
   idx
 
@@ -388,18 +376,33 @@ let prepare_presto tbox =
   Obs.span "rewrite.prepare" (fun () ->
       { idx = index_classified (normalize tbox); name = "presto" })
 
+(** [expand prepared ucq] — the saturation of [ucq] under the prepared
+    rule base, unminimized: every distinct canonical CQ the rule base
+    reaches.  Counts the candidates it generated. *)
+let expand prepared ucq =
+  let all, stats = saturate prepared.idx ucq in
+  Obs.Counter.incr ~by:stats.generated m_generated;
+  (all, stats)
+
+(** [record prepared stats out] logs and observes [out], the final UCQ
+    of one rewriting, and returns it with [stats] completed. *)
+let record prepared stats out =
+  let n = List.length out in
+  Log.debug (fun m ->
+      m "%s: %d disjuncts kept of %d generated in %d rounds" prepared.name n
+        stats.generated stats.iterations);
+  Obs.Histogram.observe m_ucq_disjuncts (float_of_int n);
+  (out, { stats with output_size = n })
+
 (** [apply prepared ucq] saturates [ucq] under the prepared rule base
-    and minimizes the result. *)
+    and minimizes the result: the ontology-level rewriting, which the
+    consistency check and the one-shot oracles below use.  Query
+    answering goes through [Engine.compile], which minimizes once after
+    unfolding instead. *)
 let apply prepared ucq =
   Obs.span "rewrite" (fun () ->
-      let all, stats = saturate prepared.idx ucq in
-      let out = Cq.minimize_ucq all in
-      Log.debug (fun m ->
-          m "%s: %d disjuncts kept of %d generated in %d rounds" prepared.name
-            (List.length out) stats.generated stats.iterations);
-      Obs.Counter.incr ~by:stats.generated m_generated;
-      Obs.Histogram.observe m_ucq_disjuncts (float_of_int (List.length out));
-      (out, { stats with output_size = List.length out }))
+      let all, stats = expand prepared ucq in
+      record prepared stats (Cq.minimize_ucq all))
 
 (** [perfect_ref tbox ucq] computes the perfect rewriting of [ucq]
     w.r.t. the positive inclusions of [tbox] (qualified existentials are
@@ -410,5 +413,7 @@ let perfect_ref tbox ucq = apply (prepare tbox) ucq
 (** [presto_ref tbox ucq] — same saturation but over the *classified*
     rule base: every entailed PI is available as a single step.  The
     output UCQ is logically equivalent to [perfect_ref]'s (property
-    tested); the ablation measures the reduction in rounds. *)
+    tested).  A reference implementation only: it reaches the same
+    fixpoint from more candidates and prepares slower, so serving runs
+    PerfectRef (ablation A4, [bench rewrite]). *)
 let presto_ref tbox ucq = apply (prepare_presto tbox) ucq

@@ -107,9 +107,9 @@ let generate ?(seed = 0x5EED) ~persons ~courses () =
     courses;
   }
 
-(** [engine ?mode instance] assembles the OBDA system. *)
-let engine ?mode instance =
-  Obda.Engine.create ?mode ~tbox:instance.tbox ~mappings:instance.mappings
+(** [engine instance] assembles the OBDA system. *)
+let engine instance =
+  Obda.Engine.create ~tbox:instance.tbox ~mappings:instance.mappings
     ~database:instance.database ()
 
 (** Benchmark queries of increasing join depth over the instance. *)

@@ -7,11 +7,13 @@
     is impossible:
 
     - the {e rewrite cache} (service-wide) maps
-      [(tbox fingerprint, mappings fingerprint, mode, query)] to the
-      compiled (rewritten + unfolded) UCQ.  Rewriting is a pure function
-      of exactly those inputs, so the entries survive data updates — the
-      OBDA promise that reasoning cost is paid on the TBox — and even
-      TBox {e reverts} re-hit, since the fingerprint is structural;
+      [(tbox fingerprint, mappings fingerprint, query)] to the compiled
+      UCQ ({!Obda.Engine.compile}: saturated, unfolded, minimized once).
+      Compiling is a pure function of exactly those inputs — unfolding
+      drops disjuncts by the mappings alone, never by the data — so the
+      entries survive data updates (the OBDA promise that reasoning cost
+      is paid on the TBox), and even TBox {e reverts} re-hit, since the
+      fingerprint is structural;
     - the {e answer cache} (per session) maps a query to its canonical
       (sorted, deduplicated) answer set, stamped with the version it was
       computed at.  An entry at the current version is served as stored.
@@ -78,7 +80,6 @@ open Dllite
     [{ Config.default with lru = 8 }]. *)
 module Config = struct
   type t = {
-    mode : Obda.Engine.rewriting_mode;  (** rewriting algorithm *)
     lru : int;  (** capacity of the rewrite and per-session answer caches *)
     slow_log_s : float;
         (** spans and ops slower than this are logged; [infinity] disables *)
@@ -87,7 +88,6 @@ module Config = struct
 
   let default =
     {
-      mode = Obda.Engine.Perfect_ref;
       lru = 256;
       slow_log_s = infinity;
       chaos = false;
@@ -321,10 +321,9 @@ let log_load t s kind payload =
 
 (* ------------------------------ sessions ---------------------------- *)
 
-let rebuild_engine t s =
+let rebuild_engine s =
   s.engine <-
-    Obda.Engine.create ~mode:t.config.Config.mode ~tbox:s.tbox
-      ~mappings:s.mappings ~database:s.database ()
+    Obda.Engine.create ~tbox:s.tbox ~mappings:s.mappings ~database:s.database ()
 
 let bump s = s.version <- s.version + 1
 
@@ -353,9 +352,7 @@ let fresh_session t name =
     tbox;
     mappings = [];
     database;
-    engine =
-      Obda.Engine.create ~mode:t.config.Config.mode ~tbox ~mappings:[]
-        ~database ();
+    engine = Obda.Engine.create ~tbox ~mappings:[] ~database ();
     version = 0;
     tbox_fp = Tbox.fingerprint tbox;
     map_fp = fp_mappings [];
@@ -398,21 +395,21 @@ let session_names t =
 
 (* [source] is the payload text the mutation arrived as: the session
    keeps the replay text its current state can be rebuilt from *)
-let op_set_tbox t s ~source tbox =
+let op_set_tbox s ~source tbox =
   s.tbox <- tbox;
   s.tbox_fp <- Tbox.fingerprint tbox;
   s.d_tbox_text <- source;
-  rebuild_engine t s;
+  rebuild_engine s;
   bump s;
   clear_journal s
 
-let op_set_mappings t s ~source mappings =
+let op_set_mappings s ~source mappings =
   (* mapping text parses against the signature in force *now*: remember
      the TBox text it was loaded under, for snapshot compaction *)
   s.d_map <- Some (s.d_tbox_text, source);
   s.mappings <- mappings;
   s.map_fp <- fp_mappings mappings;
-  rebuild_engine t s;
+  rebuild_engine s;
   bump s;
   clear_journal s
 
@@ -446,11 +443,7 @@ let op_classification t s =
     cls
 
 let compiled_query t s qkey q =
-  let rkey =
-    Printf.sprintf "%s|%s|%s|%s" s.tbox_fp s.map_fp
-      (Obda.Engine.string_of_mode t.config.Config.mode)
-      qkey
-  in
+  let rkey = Printf.sprintf "%s|%s|%s" s.tbox_fp s.map_fp qkey in
   match locked t.cache_mutex (fun () -> Lru.find t.rewrites rkey) with
   | Some compiled -> compiled
   | None ->
@@ -638,9 +631,6 @@ let scrape_samples ?session:filter t =
         (float_of_int
            (locked t.registry_mutex (fun () -> Hashtbl.length t.sessions)));
       sample "obda_service_lru_capacity" [] (float_of_int t.config.Config.lru);
-      sample "obda_service_info"
-        [ ("mode", Obda.Engine.string_of_mode t.config.Config.mode) ]
-        1.0;
     ]
   in
   let session_samples =
@@ -741,11 +731,11 @@ let handle_load ?(log = true) t s kind payload =
   match kind with
   | Wire.K_tbox -> (
     match Parser.tbox_of_string text with
-    | Result.Ok tbox -> commit (fun () -> op_set_tbox t s ~source:payload tbox)
+    | Result.Ok tbox -> commit (fun () -> op_set_tbox s ~source:payload tbox)
     | Result.Error e -> Wire.Err ("ontology: " ^ e))
   | Wire.K_mappings -> (
     match Obda.Qparse.parse_mappings ~signature:(Tbox.signature s.tbox) text with
-    | mappings -> commit (fun () -> op_set_mappings t s ~source:payload mappings)
+    | mappings -> commit (fun () -> op_set_mappings s ~source:payload mappings)
     | exception Obda.Qparse.Parse_error e -> Wire.Err ("mappings: " ^ e))
   | Wire.K_abox -> (
     (* ABox assertions materialize as their tagged relations *)
@@ -799,26 +789,17 @@ let handle_bulk_chunk ?(log = true) t s payload =
       b.facts <- b.facts + List.length rows;
       Wire.Ok [])
 
-let handle_bulk_end _t s =
+(* close the active stream, END or ABORT alike, and return it: acked
+   chunks are durable and stay (atomicity is per chunk, not per stream),
+   so any data change must still invalidate cached answers *)
+let close_bulk s =
   match s.bulk with
-  | None -> Wire.Err "no active bulk load"
+  | None -> None
   | Some b ->
     s.bulk <- None;
     if b.chunks > 0 then bump s;
     clear_journal s;
-    Wire.Ok [ Printf.sprintf "chunks %d facts %d" b.chunks b.facts ]
-
-(* closing the stream without END: acked chunks are durable and stay
-   (atomicity is per chunk, not per stream), so the data change must
-   still invalidate cached answers *)
-let handle_bulk_abort _t s =
-  match s.bulk with
-  | None -> Wire.Ok []  (* idempotent: nothing in flight *)
-  | Some b ->
-    s.bulk <- None;
-    if b.chunks > 0 then bump s;
-    clear_journal s;
-    Wire.Ok []
+    Some b
 
 let parse_query s text =
   match Obda.Qparse.parse_query ~signature:(Tbox.signature s.tbox) text with
@@ -888,13 +869,21 @@ and handle_checked ~internal t request =
     match find_session t name with
     | None -> Wire.Err (Printf.sprintf "unknown session %s" name)
     | Some s ->
-      locked s.smutex (fun () -> timed t "bulk" (fun () -> handle_bulk_end t s)))
+      locked s.smutex (fun () ->
+          timed t "bulk" (fun () ->
+              match close_bulk s with
+              | None -> Wire.Err "no active bulk load"
+              | Some b ->
+                Wire.Ok [ Printf.sprintf "chunks %d facts %d" b.chunks b.facts ])))
   | Wire.Bulk_abort { session = name } -> (
     match find_session t name with
     | None -> Wire.Err (Printf.sprintf "unknown session %s" name)
     | Some s ->
+      (* idempotent: ABORT with nothing in flight is fine *)
       locked s.smutex (fun () ->
-          timed t "bulk" (fun () -> handle_bulk_abort t s)))
+          timed t "bulk" (fun () ->
+              ignore (close_bulk s);
+              Wire.Ok [])))
   | Wire.Load { session = name; kind; payload } ->
     let s = get_or_create_session t name in
     let reply =
@@ -966,14 +955,6 @@ and handle_checked ~internal t request =
 
 (* ------------------------------ recovery ---------------------------- *)
 
-(** [restore t mutations] replays a recovered mutation list
-    ([Durable.Store.recovery]) through the ordinary handlers — recovery
-    is the normal load path, not a second interpreter.  Must run before
-    {!attach_store}, so the replay is not logged again.  Returns the
-    count applied, or the first replay failure: a mutation that was
-    acknowledged once cannot legally fail, so an error here means the
-    log and the code disagree, and refusing to serve beats serving
-    divergent answers. *)
 let request_of_mutation m =
   match m with
   | Durable.Store.Load { session; kind; payload } -> (
@@ -997,19 +978,21 @@ let apply_replicated t m =
     | Wire.Err e -> Result.Error e
     | Wire.Busy -> Result.Error "busy")
 
+(** [restore t mutations] replays a recovered mutation list
+    ([Durable.Store.recovery]) through {!apply_replicated} — recovery is
+    the normal load path, not a second interpreter.  Must run before
+    {!attach_store}, so the replay is not logged again.  Returns the
+    count applied, or the first replay failure: a mutation that was
+    acknowledged once cannot legally fail, so an error here means the
+    log and the code disagree, and refusing to serve beats serving
+    divergent answers. *)
 let restore t mutations =
-  let replay m =
-    match request_of_mutation m with
-    | Result.Ok req -> handle ~internal:true t req
-    | Result.Error e -> Wire.Err e
-  in
   let rec go i = function
     | [] -> Result.Ok i
     | m :: rest -> (
-      match replay m with
-      | Wire.Ok _ -> go (i + 1) rest
-      | Wire.Err e -> Result.Error (Printf.sprintf "mutation %d: %s" (i + 1) e)
-      | Wire.Busy -> Result.Error (Printf.sprintf "mutation %d: busy" (i + 1)))
+      match apply_replicated t m with
+      | Result.Ok () -> go (i + 1) rest
+      | Result.Error e -> Result.Error (Printf.sprintf "mutation %d: %s" (i + 1) e))
   in
   go 0 mutations
 

@@ -764,11 +764,15 @@ let prop_presto_matches_chase =
       | Some q ->
         let t = Ontgen.Qgen.tbox_of_axioms (positive_only axioms) in
         let abox = Dllite.Abox.of_list assertions in
-        let sys = Engine.of_abox ~mode:Engine.Presto t abox in
+        let rewritten, _ = Rewrite.presto_ref t [ q ] in
+        let via_presto =
+          Cq.evaluate_ucq
+            ~source:(Database.source (Vabox.database_of_abox abox))
+            rewritten
+        in
         let depth = List.length q.Cq.body + List.length axioms + 2 in
         (match Chase.certain_answers ~max_depth:depth t abox q with
-         | via_chase ->
-           sorted_answers (Engine.certain_answers sys q) = sorted_answers via_chase
+         | via_chase -> sorted_answers via_presto = sorted_answers via_chase
          | exception Chase.Overflow -> true))
 
 let prop_consistency_matches_chase =
@@ -781,6 +785,175 @@ let prop_consistency_matches_chase =
       match Chase.violates_ni t abox with
       | violated -> Engine.consistent sys = not violated
       | exception Chase.Overflow -> true)
+
+(* ------------- property: mapped certain answers, three ways ---------- *)
+
+(* A fixed source schema under random GAV mappings: every pool concept,
+   role or attribute may be mapped (several times, or not at all) onto a
+   1–2-atom source query, so unfolding meets unmapped predicates, joins
+   and constants in the source, and several mappings per head. *)
+let source_individuals = [ "o1"; "o2"; "o3" ]
+
+let gen_source_query answer =
+  QCheck.Gen.(
+    let term =
+      frequency
+        [
+          (4, map (fun v -> Cq.Var v) (oneofl (answer @ [ "z" ])));
+          (1, map (fun c -> Cq.Const c) (oneofl source_individuals));
+        ]
+    in
+    let atom =
+      frequency
+        [
+          (1, map (fun t -> Cq.atom "s1" [ t ]) term);
+          (2, map2 (fun t1 t2 -> Cq.atom "s2" [ t1; t2 ]) term term);
+          (2, map2 (fun t1 t2 -> Cq.atom "s3" [ t1; t2 ]) term term);
+        ]
+    in
+    let* body = list_size (int_range 1 2) atom in
+    (* an answer variable the random atoms missed gets an [s1] atom *)
+    let covers v = List.exists (fun a -> List.mem (Cq.Var v) a.Cq.args) body in
+    let cover =
+      List.filter_map
+        (fun v -> if covers v then None else Some (Cq.atom "s1" [ Cq.Var v ]))
+        answer
+    in
+    return (Cq.make answer (body @ cover)))
+
+let gen_mapping =
+  QCheck.Gen.(
+    let binary head = map (fun source -> Mapping.make ~source ~target:head) (gen_source_query [ "x"; "y" ]) in
+    frequency
+      [
+        ( 3,
+          let* a = oneofl Ontgen.Qgen.concept_pool in
+          map
+            (fun source ->
+              Mapping.make ~source ~target:(Mapping.Concept_head (a, v "x")))
+            (gen_source_query [ "x" ]) );
+        ( 3,
+          let* p = oneofl Ontgen.Qgen.role_pool in
+          binary (Mapping.Role_head (p, v "x", v "y")) );
+        ( 1,
+          let* u = oneofl Ontgen.Qgen.attr_pool in
+          binary (Mapping.Attr_head (u, v "x", v "y")) );
+      ])
+
+let gen_source_rows =
+  QCheck.Gen.(
+    let value = oneofl source_individuals in
+    list_size (int_range 3 14)
+      (frequency
+         [
+           (1, map (fun a -> ("s1", [ a ])) value);
+           (2, map2 (fun a b -> ("s2", [ a; b ])) value value);
+           (2, map2 (fun a b -> ("s3", [ a; b ])) value value);
+         ]))
+
+let arbitrary_mapped_kb =
+  QCheck.make
+    ~print:(fun (axioms, mappings, rows, q) ->
+      Printf.sprintf "TBox:\n%s\nMappings:\n%s\nRows: %s\nQuery: %s"
+        (Tbox.to_string (Ontgen.Qgen.tbox_of_axioms axioms))
+        (String.concat "\n"
+           (List.map
+              (fun m ->
+                Printf.sprintf "%s%s <- %s"
+                  (Mapping.target_pred m.Mapping.target)
+                  (String.concat ","
+                     (List.map Cq.show_term (Mapping.target_args m.Mapping.target)))
+                  (Cq.to_string m.Mapping.source))
+              mappings))
+        (String.concat "; "
+           (List.map (fun (r, row) -> r ^ "(" ^ String.concat "," row ^ ")") rows))
+        (match q with Some q -> Cq.to_string q | None -> "-"))
+    QCheck.Gen.(
+      quad Ontgen.Qgen.gen_axioms
+        (list_size (int_range 3 8) gen_mapping)
+        gen_source_rows gen_query)
+
+let prop_mapped_answers_agree =
+  QCheck.Test.make ~count:300
+    ~name:"mapped certain answers = chase over materialization = naive unfolding"
+    arbitrary_mapped_kb (fun (axioms, mappings, rows, q) ->
+      match q with
+      | None -> true
+      | Some q ->
+        let t = Ontgen.Qgen.tbox_of_axioms (positive_only axioms) in
+        let db = Database.create () in
+        List.iter (fun (rel, row) -> Database.insert db rel row) rows;
+        let via_engine =
+          sorted_answers
+            (Engine.certain_answers (Engine.create ~tbox:t ~mappings ~database:db ()) q)
+        in
+        (* the two-minimization reference: rewrite and minimize,
+           unfold, minimize again *)
+        let via_naive =
+          let rewritten, _ = Rewrite.perfect_ref t [ q ] in
+          sorted_answers
+            (Cq.Naive.evaluate_ucq ~facts:(Database.facts db)
+               (Cq.minimize_ucq (Mapping.unfold_ucq mappings rewritten)))
+        in
+        let depth = List.length q.Cq.body + List.length axioms + 2 in
+        via_engine = via_naive
+        &&
+        match
+          Chase.certain_answers ~max_depth:depth t (Mapping.materialize mappings db) q
+        with
+        | via_chase -> via_engine = sorted_answers via_chase
+        | exception Chase.Overflow -> true)
+
+(* ------------- deterministic: a high-band link at Galen scale --------- *)
+
+(* The university instance under its TBox plus a Galen-profile module,
+   the module concept with the most subsumees linked under Person.  The
+   saturation of [x <- Person(x)] then has hundreds of disjuncts, of
+   which unfolding keeps a handful: compiling must give the same UCQ,
+   up to equivalent disjuncts, as minimizing before and after
+   unfolding, and the same answers. *)
+let test_high_band_link () =
+  let module_tbox =
+    Ontgen.Generator.generate ~seed:0x6A1E ~prefix:"g"
+      (Ontgen.Generator.scale 0.01 Ontgen.Profiles.galen)
+  in
+  let cls = Quonto.Classify.classify module_tbox in
+  let subsumees c =
+    List.length (Quonto.Classify.subsumees cls (Syntax.E_concept (Syntax.Atomic c)))
+  in
+  let top =
+    List.fold_left
+      (fun best c -> if subsumees c > subsumees best then c else best)
+      "gC0"
+      (Signature.concepts (Tbox.signature module_tbox))
+  in
+  Alcotest.(check bool) "high band" true (subsumees top > 100);
+  let tbox =
+    Tbox.add
+      (Syntax.Concept_incl (Syntax.Atomic top, Syntax.C_basic (Syntax.Atomic "Person")))
+      (Tbox.union Ontgen.Datagen.university_tbox module_tbox)
+  in
+  let instance = Ontgen.Datagen.generate ~persons:60 ~courses:10 () in
+  let mappings = instance.Ontgen.Datagen.mappings in
+  let database = instance.Ontgen.Datagen.database in
+  let engine = Engine.create ~tbox ~mappings ~database () in
+  let q = Cq.make [ "x" ] [ Cq.atom (Vabox.concept_pred "Person") [ v "x" ] ] in
+  let compiled = Engine.compile engine [ q ] in
+  let rewritten, _ = Rewrite.perfect_ref tbox [ q ] in
+  Alcotest.(check bool) "saturation is large" true (List.length rewritten > 100);
+  let before = Cq.minimize_ucq (Mapping.unfold_ucq mappings rewritten) in
+  let equivalent a b = Cq.contains a b && Cq.contains b a in
+  let covered xs ys = List.for_all (fun x -> List.exists (equivalent x) ys) xs in
+  Alcotest.(check int) "same disjunct count" (List.length before) (List.length compiled);
+  Alcotest.(check bool) "same disjuncts" true
+    (covered compiled before && covered before compiled);
+  let source = Database.source database in
+  check_answers "same answers"
+    (Cq.evaluate_ucq ~source before)
+    (Engine.certain_answers engine q);
+  check_answers "every person"
+    (List.init 60 (fun i -> [ Printf.sprintf "p%d" i ]))
+    (Engine.certain_answers engine q)
 
 let () =
   Alcotest.run "obda"
@@ -836,12 +1009,15 @@ let () =
           Alcotest.test_case "end to end" `Quick test_engine_end_to_end;
           Alcotest.test_case "inconsistency report" `Quick test_engine_inconsistency;
           Alcotest.test_case "abox mode" `Quick test_engine_abox_mode;
+          Alcotest.test_case "high-band link compiles as before" `Quick
+            test_high_band_link;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
             prop_rewriting_matches_chase;
             prop_presto_matches_chase;
+            prop_mapped_answers_agree;
             prop_consistency_matches_chase;
             prop_indexed_matches_naive;
             prop_index_consistency;

@@ -115,17 +115,11 @@ let test_sql_obda_pipeline () =
     ]
   in
   let q = Cq.make [ "x" ] [ Cq.atom (Vabox.concept_pred "Employee") [ v "x" ] ] in
-  let rewritten, _ = Obda.Rewrite.perfect_ref tbox [ q ] in
-  let unfolded = Obda.Mapping.unfold_ucq mappings rewritten in
-  let stmt = Sql.of_ucq unfolded in
   let db = db () in
+  let engine = Obda.Engine.create ~tbox ~mappings ~database:db () in
+  let stmt = Sql.of_ucq (Obda.Engine.compile engine [ q ]) in
   let via_sql = sorted (Sql.eval db stmt) in
-  let via_engine =
-    sorted
-      (Obda.Engine.certain_answers
-         (Obda.Engine.create ~tbox ~mappings ~database:db ())
-         q)
-  in
+  let via_engine = sorted (Obda.Engine.certain_answers engine q) in
   Alcotest.(check (list (list string))) "pipeline agreement" via_engine via_sql;
   (* the SQL covers both mappings *)
   let text = Sql.to_string stmt in
