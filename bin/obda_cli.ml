@@ -58,9 +58,7 @@ let classify_cmd =
     let cls = Quonto.Classify.classify ~algorithm ?jobs tbox in
     let elapsed = Unix.gettimeofday () -. t0 in
     let subs = Quonto.Classify.name_level cls in
-    List.iter
-      (fun s -> Format.printf "%a@." Quonto.Classify.pp_name_subsumption s)
-      subs;
+    List.iter (fun s -> print_endline (Quonto.Classify.line s)) subs;
     if show_equiv then begin
       Format.printf "@.equivalence classes:@.";
       List.iter
@@ -243,9 +241,9 @@ let taxonomy_cmd =
     let cls = Quonto.Classify.classify tbox in
     let sort =
       match sort with
-      | "concepts" -> Quonto.Taxonomy.Concepts
-      | "roles" -> Quonto.Taxonomy.Roles
-      | "attributes" -> Quonto.Taxonomy.Attributes
+      | "concepts" -> Quonto.Classify.Concepts
+      | "roles" -> Quonto.Classify.Roles
+      | "attributes" -> Quonto.Classify.Attributes
       | other ->
         Printf.eprintf "unknown sort %s (use concepts, roles or attributes)\n" other;
         exit 1

@@ -81,9 +81,8 @@ let () =
   let cls = Quonto.Classify.classify sem.Approx.Semantic.tbox in
   Format.printf "== classification of the approximated ontology ==@.";
   List.iter
-    (fun sub -> Format.printf "  %a@." Quonto.Classify.pp_name_subsumption sub)
-    (Quonto.Classify.concept_hierarchy cls
-     |> List.map (fun (a, b) -> Quonto.Classify.Concept_sub (a, b)));
+    (fun (a, b) -> Format.printf "  %s@." Quonto.Classify.(line (Concept_sub (a, b))))
+    (Quonto.Classify.concept_hierarchy cls);
   Format.printf "@.";
 
   (* 5. and use it to answer a query the expressive ontology implies:

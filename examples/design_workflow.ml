@@ -64,7 +64,7 @@ let () =
   (* (iv) design-quality control: classification, coherence, taxonomy *)
   let cls = Quonto.Classify.classify design in
   Format.printf "coherent: %b@." (Quonto.Unsat.coherent (Quonto.Classify.unsat cls));
-  let taxonomy = Quonto.Taxonomy.build cls Quonto.Taxonomy.Concepts in
+  let taxonomy = Quonto.Taxonomy.build cls Quonto.Classify.Concepts in
   Format.printf "taxonomy (depth %d):@.%a@." (Quonto.Taxonomy.depth taxonomy)
     (fun fmt t -> Quonto.Taxonomy.pp fmt t)
     taxonomy;

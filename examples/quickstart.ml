@@ -36,7 +36,7 @@ let () =
   let cls = Quonto.Classify.classify tbox in
   Format.printf "== Classification (Phi_T + Omega_T) ==@.";
   List.iter
-    (fun sub -> Format.printf "  %a@." Quonto.Classify.pp_name_subsumption sub)
+    (fun sub -> Format.printf "  %s@." (Quonto.Classify.line sub))
     (Quonto.Classify.name_level cls);
   Format.printf "  coherent: %b@.@." (Quonto.Unsat.coherent (Quonto.Classify.unsat cls));
 

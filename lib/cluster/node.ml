@@ -17,7 +17,6 @@
 
 module Store = Durable.Store
 module Io = Durable.Io
-module Failpoint = Durable.Failpoint
 module Wire = Server.Wire
 module Service = Server.Service
 module Serve = Server.Serve
@@ -31,36 +30,10 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 let epoch_path dir = Filename.concat dir "epoch"
 
-let load_epoch dir =
-  match open_in (epoch_path dir) with
-  | exception Sys_error _ -> 0
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        match input_line ic with
-        | line -> Option.value (int_of_string_opt (String.trim line)) ~default:0
-        | exception End_of_file -> 0)
-
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
+let load_epoch dir = Option.value (Io.read_int_file (epoch_path dir)) ~default:0
 
 let persist_epoch dir epoch =
-  let tmp = epoch_path dir ^ ".tmp" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Io.write_string fd (Printf.sprintf "%d\n" epoch);
-      Unix.fsync fd);
-  Failpoint.check "cluster.epoch.persist";
-  Unix.rename tmp (epoch_path dir);
-  fsync_dir dir
+  Io.write_int_file ~failpoint:"cluster.epoch.persist" (epoch_path dir) epoch
 
 (* The fence marker: while this file exists (and names an epoch >= the
    persisted one) the node's primary role is poisoned — a higher epoch
@@ -70,31 +43,13 @@ let persist_epoch dir epoch =
    happened to re-fence it). *)
 let fenced_path dir = Filename.concat dir "fenced"
 
-let load_fenced dir =
-  match open_in (fenced_path dir) with
-  | exception Sys_error _ -> None
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        match input_line ic with
-        | line -> int_of_string_opt (String.trim line)
-        | exception End_of_file -> None)
+let load_fenced dir = Io.read_int_file (fenced_path dir)
 
-let persist_fenced dir epoch =
-  let tmp = fenced_path dir ^ ".tmp" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Io.write_string fd (Printf.sprintf "%d\n" epoch);
-      Unix.fsync fd);
-  Unix.rename tmp (fenced_path dir);
-  fsync_dir dir
+let persist_fenced dir epoch = Io.write_int_file (fenced_path dir) epoch
 
 let clear_fenced dir =
   match Unix.unlink (fenced_path dir) with
-  | () -> fsync_dir dir
+  | () -> Io.fsync_dir dir
   | exception Unix.Unix_error _ -> ()
 
 (* -------------------------------- node ------------------------------- *)

@@ -10,7 +10,11 @@
                 obtained from [computeUnsat].
 
     The classification is [Phi_T ∪ Omega_T], exposed both as a
-    subsumption test and as materialized name-level hierarchies. *)
+    subsumption test ([subsumes], [subsumers], [subsumees]) and as
+    name-level output.  Every name-level reader — [name_level], the two
+    hierarchies, [Taxonomy.build] and the [CLASSIFY] reply — goes
+    through one sorted per-sort walk ([walk]) over the signature's
+    names, and [line] is the one textual form of its pairs. *)
 
 open Dllite
 
@@ -97,6 +101,28 @@ let subsumees t e =
       t.encoding.Encoding.expr_of_node;
     List.rev !acc
 
+(** Which sort of names a name-level pass walks. *)
+type sort =
+  | Concepts
+  | Roles
+  | Attributes
+
+(** [names t sort] lists the signature's names of [sort], sorted
+    ([Signature] keeps them in a [String] set). *)
+let names t sort =
+  let signature = Tbox.signature (tbox t) in
+  match sort with
+  | Concepts -> Signature.concepts signature
+  | Roles -> Signature.roles signature
+  | Attributes -> Signature.attributes signature
+
+(** [expr_of_name sort name] is the basic expression naming [name]. *)
+let expr_of_name sort name =
+  match sort with
+  | Concepts -> Syntax.E_concept (Syntax.Atomic name)
+  | Roles -> Syntax.E_role (Syntax.Direct name)
+  | Attributes -> Syntax.E_attr name
+
 (** A subsumption between two named predicates, as reported by
     classification output. *)
 type name_subsumption =
@@ -104,62 +130,54 @@ type name_subsumption =
   | Role_sub of string * string
   | Attr_sub of string * string
 
+(** [walk t sort pair] is the classification between the names of
+    [sort], as [pair a b] for [a ⊑ b]: every pair of distinct names where
+    [a] is unsatisfiable ([Omega_T]) or [b] is in the closure row of [a]
+    ([Phi_T]).  Each name's node is resolved once; the pairs come out
+    sorted by [(a, b)] because the names are, so no sort is needed. *)
+let walk t sort pair =
+  let names = Array.of_list (names t sort) in
+  let nodes = Array.map (fun a -> Encoding.node t.encoding (expr_of_name sort a)) names in
+  let acc = ref [] in
+  (* both indices run downwards so consing leaves the list ascending *)
+  for i = Array.length names - 1 downto 0 do
+    let unsat = Unsat.is_unsat_node t.unsat nodes.(i) in
+    let row = Graphlib.Closure.descendants t.closure nodes.(i) in
+    for j = Array.length names - 1 downto 0 do
+      if i <> j && (unsat || Graphlib.Bitvec.get row nodes.(j)) then
+        acc := pair names.(i) names.(j) :: !acc
+    done
+  done;
+  !acc
+
+(** [subsumption sort a b] is [a ⊑ b] as a [name_subsumption] of [sort]. *)
+let subsumption sort a b =
+  match sort with
+  | Concepts -> Concept_sub (a, b)
+  | Roles -> Role_sub (a, b)
+  | Attributes -> Attr_sub (a, b)
+
 (** [name_level t] materializes the classification between *names* of
     the signature (the paper's definition of ontology classification:
     "all subsumption relationships inferred ... between concept and
-    property names").  Reflexive pairs are omitted. *)
+    property names"): concepts, then roles, then attributes, each
+    sorted.  Reflexive pairs are omitted. *)
 let name_level t =
-  let signature = Tbox.signature (tbox t) in
-  let acc = ref [] in
-  let sub_of_pair e1 e2 =
-    match e1, e2 with
-    | Syntax.E_concept (Syntax.Atomic a1), Syntax.E_concept (Syntax.Atomic a2) ->
-      Some (Concept_sub (a1, a2))
-    | Syntax.E_role (Syntax.Direct p1), Syntax.E_role (Syntax.Direct p2) ->
-      Some (Role_sub (p1, p2))
-    | Syntax.E_attr u1, Syntax.E_attr u2 -> Some (Attr_sub (u1, u2))
-    | _ -> None
-  in
-  (* Phi_T pairs between names. *)
-  Graphlib.Closure.iter_pairs t.closure (fun n1 n2 ->
-      if n1 <> n2 then
-        match sub_of_pair (Encoding.expr t.encoding n1) (Encoding.expr t.encoding n2) with
-        | Some s -> acc := s :: !acc
-        | None -> ());
-  (* Omega_T pairs: unsat names subsumed by every name of their sort. *)
-  let add_unsat_pairs of_name names mk =
-    List.iter
-      (fun x1 ->
-        if Unsat.is_unsat t.unsat (of_name x1) then
-          List.iter (fun x2 -> if x1 <> x2 then acc := mk x1 x2 :: !acc) names)
-      names
-  in
-  add_unsat_pairs
-    (fun a -> Syntax.E_concept (Syntax.Atomic a))
-    (Signature.concepts signature)
-    (fun a b -> Concept_sub (a, b));
-  add_unsat_pairs
-    (fun p -> Syntax.E_role (Syntax.Direct p))
-    (Signature.roles signature)
-    (fun a b -> Role_sub (a, b));
-  add_unsat_pairs
-    (fun u -> Syntax.E_attr u)
-    (Signature.attributes signature)
-    (fun a b -> Attr_sub (a, b));
-  List.sort_uniq Stdlib.compare !acc
+  List.concat_map (fun sort -> walk t sort (subsumption sort)) [ Concepts; Roles; Attributes ]
 
 (** [concept_hierarchy t] is the name-level concept taxonomy as
     association pairs [(sub, super)], reflexive pairs omitted. *)
-let concept_hierarchy t =
-  List.filter_map
-    (function Concept_sub (a, b) -> Some (a, b) | Role_sub _ | Attr_sub _ -> None)
-    (name_level t)
+let concept_hierarchy t = walk t Concepts (fun a b -> (a, b))
 
 (** [role_hierarchy t] is the name-level role taxonomy. *)
-let role_hierarchy t =
-  List.filter_map
-    (function Role_sub (a, b) -> Some (a, b) | Concept_sub _ | Attr_sub _ -> None)
-    (name_level t)
+let role_hierarchy t = walk t Roles (fun a b -> (a, b))
+
+(** [line s] is the one textual form of a name-level subsumption, used
+    by the [CLASSIFY] reply and the CLI alike. *)
+let line = function
+  | Concept_sub (a, b) -> a ^ " [= " ^ b
+  | Role_sub (p, q) -> "role " ^ p ^ " [= " ^ q
+  | Attr_sub (u, v) -> "attr " ^ u ^ " [= " ^ v
 
 (** [equivalence_classes t] groups concept names mutually subsuming each
     other (cycles in the digraph), a common design-quality signal.
@@ -173,8 +191,6 @@ let role_hierarchy t =
     digraph predecessors, so a satisfiable name can never reach an
     unsatisfiable one). *)
 let equivalence_classes t =
-  let signature = Tbox.signature (tbox t) in
-  let names = Signature.concepts signature in
   let scc = Graphlib.Scc.tarjan (Encoding.graph t.encoding) in
   (* key: component id for satisfiable in-graph names, [-1] for the
      merged unsatisfiable class; names outside the digraph only subsume
@@ -191,11 +207,6 @@ let equivalence_classes t =
         in
         let prev = Option.value ~default:[] (Hashtbl.find_opt classes key) in
         Hashtbl.replace classes key (a :: prev))
-    names;
+    (names t Concepts);
   Hashtbl.fold (fun _ members acc -> List.rev members :: acc) classes !singletons
   |> List.sort Stdlib.compare
-
-let pp_name_subsumption fmt = function
-  | Concept_sub (a, b) -> Format.fprintf fmt "%s [= %s" a b
-  | Role_sub (p, q) -> Format.fprintf fmt "role %s [= %s" p q
-  | Attr_sub (u, v) -> Format.fprintf fmt "attr %s [= %s" u v

@@ -4,9 +4,11 @@
 
     This is the structure ontology navigation, the documentation
     generator and the diagram renderer want, and it is how real
-    reasoners report classification (a Hasse diagram, not all pairs). *)
+    reasoners report classification (a Hasse diagram, not all pairs).
 
-open Dllite
+    A taxonomy is built from the classification's name-level pairs, read
+    by the same per-sort walk ([Classify.walk]) that produces [CLASSIFY]
+    output, then transitively reduced over the SCC condensation. *)
 
 (** One taxonomy node: an equivalence class of names. *)
 type node = {
@@ -21,42 +23,28 @@ type t = {
   unsatisfiable : string list;      (** names equivalent to ⊥, kept apart *)
 }
 
-(** Which sort of names to build the taxonomy over. *)
-type sort =
-  | Concepts
-  | Roles
-  | Attributes
-
-let names_of_sort signature = function
-  | Concepts -> Signature.concepts signature
-  | Roles -> Signature.roles signature
-  | Attributes -> Signature.attributes signature
-
-let expr_of_sort sort name =
-  match sort with
-  | Concepts -> Syntax.E_concept (Syntax.Atomic name)
-  | Roles -> Syntax.E_role (Syntax.Direct name)
-  | Attributes -> Syntax.E_attr name
-
 (** [build cls sort] — the taxonomy of the given name sort from a
-    classification. *)
-let build cls sort =
-  let signature = Tbox.signature (Classify.tbox cls) in
-  let names = names_of_sort signature sort in
+    classification.  Its edges are the classification's own name pairs
+    ([Classify.walk]); unsatisfiable names are set apart first, and
+    since [computeUnsat] is closed under digraph predecessors no
+    satisfiable name reaches one. *)
+let build cls (sort : Classify.sort) =
   let unsatisfiable, live =
-    List.partition (fun a -> Classify.is_unsat cls (expr_of_sort sort a)) names
+    List.partition
+      (fun a -> Classify.is_unsat cls (Classify.expr_of_name sort a))
+      (Classify.names cls sort)
   in
   let live = Array.of_list live in
-  let n = Array.length live in
+  let live_index = Hashtbl.create (Array.length live) in
+  Array.iteri (fun i a -> Hashtbl.replace live_index a i) live;
   (* subsumption graph over satisfiable names *)
-  let g = Graphlib.Graph.create ~initial_nodes:n () in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      if i <> j
-         && Classify.subsumes cls (expr_of_sort sort live.(i)) (expr_of_sort sort live.(j))
-      then Graphlib.Graph.add_edge g i j
-    done
-  done;
+  let g = Graphlib.Graph.create ~initial_nodes:(Array.length live) () in
+  List.iter
+    (fun (a, b) ->
+      match Hashtbl.find_opt live_index a, Hashtbl.find_opt live_index b with
+      | Some i, Some j -> Graphlib.Graph.add_edge g i j
+      | _ -> ())
+    (Classify.walk cls sort (fun a b -> (a, b)));
   let scc, direct_edges = Graphlib.Reduction.reduce g in
   let node_count = scc.Graphlib.Scc.count in
   let members =

@@ -98,15 +98,24 @@ let tokenize_line ~line s =
 
 type sort = S_concept | S_role | S_attr
 
-type context = {
-  mutable sorts : (string * sort) list;  (* association list; small inputs *)
-}
+(* The names seen so far, declared or used, are the document's
+   signature; a name sits in at most one of its three sets. *)
+type context = { mutable signature : Signature.t }
 
-let sort_of ctx name = List.assoc_opt name ctx.sorts
+let sort_of ctx name =
+  if Signature.mem_concept name ctx.signature then Some S_concept
+  else if Signature.mem_role name ctx.signature then Some S_role
+  else if Signature.mem_attribute name ctx.signature then Some S_attr
+  else None
 
 let declare ctx line name sort =
   match sort_of ctx name with
-  | None -> ctx.sorts <- (name, sort) :: ctx.sorts
+  | None ->
+    ctx.signature <-
+      (match sort with
+       | S_concept -> Signature.add_concept name ctx.signature
+       | S_role -> Signature.add_role name ctx.signature
+       | S_attr -> Signature.add_attribute name ctx.signature)
   | Some s when s = sort -> ()
   | Some _ -> fail line "name %s used with two different sorts" name
 
@@ -261,25 +270,18 @@ let parse_constraint ctx line tokens =
 (** [parse_document source] parses a TBox document that may also contain
     functionality and identification constraint lines. *)
 let parse_document source =
-  let ctx = { sorts = [] } in
+  let ctx = { signature = Signature.empty } in
   let axioms = ref [] in
   let constraints = ref [] in
-  let signature = ref Signature.empty in
   let lines = String.split_on_char '\n' source in
   List.iteri
     (fun idx raw ->
       let line = idx + 1 in
       match tokenize_line ~line raw with
       | [] -> ()
-      | [ Kw_concept; Ident a ] ->
-        declare ctx line a S_concept;
-        signature := Signature.add_concept a !signature
-      | [ Kw_role; Ident p ] ->
-        declare ctx line p S_role;
-        signature := Signature.add_role p !signature
-      | [ Kw_attr; Ident u ] ->
-        declare ctx line u S_attr;
-        signature := Signature.add_attribute u !signature
+      | [ Kw_concept; Ident a ] -> declare ctx line a S_concept
+      | [ Kw_role; Ident p ] -> declare ctx line p S_role
+      | [ Kw_attr; Ident u ] -> declare ctx line u S_attr
       | (Kw_funct :: _ | Kw_id :: _) as tokens ->
         constraints := parse_constraint ctx line tokens :: !constraints
       | tokens ->
@@ -287,18 +289,9 @@ let parse_document source =
          | Some (lhs, rhs) -> axioms := parse_axiom ctx line lhs rhs :: !axioms
          | None -> fail line "expected a declaration or an inclusion"))
     lines;
-  (* constraint lines may mention otherwise-undeclared names; fold the
-     inferred sorts into the signature so downstream checks see them *)
-  let signature =
-    List.fold_left
-      (fun s (name, sort) ->
-        match sort with
-        | S_concept -> Signature.add_concept name s
-        | S_role -> Signature.add_role name s
-        | S_attr -> Signature.add_attribute name s)
-      !signature ctx.sorts
-  in
-  ( Tbox.of_axioms ~signature (List.rev !axioms),
+  (* the signature also holds names that only constraint lines mention,
+     so downstream checks see them *)
+  ( Tbox.of_axioms ~signature:ctx.signature (List.rev !axioms),
     List.rev !constraints )
 
 (** [parse_tbox source] parses a whole TBox document (constraint lines

@@ -86,7 +86,7 @@ let disjoint_with cls signature name =
 (** [generate ?annotations ?title tbox] builds the document model. *)
 let generate ?(annotations = []) ?(title = "Ontology documentation") tbox =
   let cls = Quonto.Classify.classify tbox in
-  let taxonomy = Quonto.Taxonomy.build cls Quonto.Taxonomy.Concepts in
+  let taxonomy = Quonto.Taxonomy.build cls Quonto.Classify.Concepts in
   let signature = Tbox.signature tbox in
   let blocks = ref [] in
   let push b = blocks := b :: !blocks in

@@ -1,6 +1,6 @@
 (** EINTR-retrying, partial-write-completing file-descriptor I/O,
-    shared by the WAL, the snapshot writer and the server's connection
-    handling.
+    shared by the WAL, the snapshot writer, the server's connection
+    handling and the cluster's epoch and fence files.
 
     [Unix.write] may write fewer bytes than asked and both read and
     write may fail with [EINTR] when a signal lands mid-syscall; a naive
@@ -49,6 +49,46 @@ let write_string ?failpoint fd s =
 let fsync ?failpoint fd =
   Option.iter Failpoint.check failpoint;
   retry (fun () -> Unix.fsync fd)
+
+(** [fsync_dir dir] syncs the directory itself, so a [rename] or
+    [unlink] in it survives a crash.  Best effort: a file system that
+    cannot sync directories is not an error. *)
+let fsync_dir dir =
+  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
+  | exception Unix.Unix_error _ -> ()
+  | fd ->
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
+
+(** [write_int_file ?failpoint path n] installs ["n\n"] at [path]
+    crash-atomically: write and fsync [path ^ ".tmp"], [check] the
+    failpoint (a [crash] there leaves the old file in place), rename over
+    [path], then fsync the directory. *)
+let write_int_file ?failpoint path n =
+  let tmp = path ^ ".tmp" in
+  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      write_string fd (Printf.sprintf "%d\n" n);
+      fsync fd);
+  Option.iter Failpoint.check failpoint;
+  Unix.rename tmp path;
+  fsync_dir (Filename.dirname path)
+
+(** [read_int_file path] — the integer on [path]'s first line; [None]
+    when the file is absent, empty or not an integer. *)
+let read_int_file path =
+  match open_in path with
+  | exception Sys_error _ -> None
+  | ic ->
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        match input_line ic with
+        | line -> int_of_string_opt (String.trim line)
+        | exception End_of_file -> None)
 
 (** [read_all fd] — the whole remaining content of [fd], EINTR-safe.
     Recovery reads WAL and snapshot files through this. *)

@@ -117,14 +117,6 @@ let snapshot_tmp_path dir = Filename.concat dir "snapshot.tmp"
 
 let snapshot_header_prefix = "S "
 
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | fd ->
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
-
 (* snapshot file → (fence seq, mutations); None when absent *)
 let read_snapshot path =
   match Wal.scan_file path with
@@ -428,7 +420,7 @@ let write_snapshot_locked t ~fence mutations =
               Io.fsync ~failpoint:"snapshot.before_fsync" fd);
           Failpoint.check "snapshot.before_rename";
           Unix.rename tmp (snapshot_path t.dir);
-          fsync_dir t.dir;
+          Io.fsync_dir t.dir;
           Failpoint.check "snapshot.after_rename";
           Wal.reset t.wal;
           (match t.group with

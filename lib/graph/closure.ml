@@ -78,17 +78,6 @@ let ancestors t v =
   done;
   col
 
-(** [edge_count t] counts reachable pairs, including the reflexive ones. *)
-let edge_count t =
-  Array.fold_left (fun acc row -> acc + Bitvec.popcount row) 0 t.rows
-
-(** [iter_pairs t f] applies [f u v] to every pair with [u] reaching [v],
-    including [u = v]. *)
-let iter_pairs t f =
-  for u = 0 to t.size - 1 do
-    Bitvec.iter_set t.rows.(u) (fun v -> f u v)
-  done
-
 let dfs_closure g =
   let n = Graph.node_count g in
   let rows = Array.init n (fun v -> Graph.reachable_from g v) in
@@ -200,14 +189,6 @@ let compute ?(algorithm = Scc_condense) ?pool ?jobs g =
   | Warshall -> warshall_closure g
   | Scc_condense -> scc_closure g
   | Par_scc -> par_scc_closure (pool ()) g
-
-(** [to_graph t] is the closure as an ordinary graph, *without* the
-    reflexive edges (they carry no information for classification
-    output). *)
-let to_graph t =
-  let g = Graph.create ~initial_nodes:t.size () in
-  iter_pairs t (fun u v -> if u <> v then Graph.add_edge g u v);
-  g
 
 (** [equal a b] is extensional equality of the two closures,
     short-circuiting on the first differing row. *)

@@ -51,17 +51,6 @@ val descendants : t -> int -> Bitvec.t
     [v]. *)
 val ancestors : t -> int -> Bitvec.t
 
-(** [edge_count t] counts reachable pairs, reflexive ones included. *)
-val edge_count : t -> int
-
-(** [iter_pairs t f] applies [f u v] to every pair with [u] reaching
-    [v], including [u = v]. *)
-val iter_pairs : t -> (int -> int -> unit) -> unit
-
-(** [to_graph t] is the closure as an ordinary graph, without the
-    reflexive edges. *)
-val to_graph : t -> Graph.t
-
 (** [equal a b] is extensional equality of the two closures,
     short-circuiting on the first differing row. *)
 val equal : t -> t -> bool

@@ -899,13 +899,8 @@ and handle_checked ~internal t request =
       locked s.smutex (fun () ->
           timed t "classify" (fun () ->
               let cls = op_classification t s in
-              let lines =
-                List.map
-                  (fun sub ->
-                    Format.asprintf "%a" Quonto.Classify.pp_name_subsumption sub)
-                  (Quonto.Classify.name_level cls)
-              in
-              Wire.Ok lines)))
+              Wire.Ok
+                (List.map Quonto.Classify.line (Quonto.Classify.name_level cls)))))
   | Wire.Prepare { session = name; name = qname; query } ->
     let s = get_or_create_session t name in
     let reply =

@@ -209,6 +209,45 @@ let test_name_level_output () =
   Alcotest.(check bool) "no reflexive" false
     (List.mem (Classify.Concept_sub ("A", "A")) subs)
 
+(* The definitional classification between names: every ordered pair
+   of distinct same-sort names that [subsumes] accepts, in the order
+   [name_level] promises (sorts in declaration order, then by name). *)
+let definitional_name_level cls =
+  List.concat_map
+    (fun sort ->
+      let names = Classify.names cls sort in
+      List.concat_map
+        (fun a ->
+          List.filter_map
+            (fun b ->
+              if
+                a <> b
+                && Classify.subsumes cls (Classify.expr_of_name sort a)
+                     (Classify.expr_of_name sort b)
+              then Some (Classify.subsumption sort a b)
+              else None)
+            names)
+        names)
+    Classify.[ Concepts; Roles; Attributes ]
+  |> List.sort_uniq Stdlib.compare
+
+let test_name_level_ontology_edit_shape () =
+  (* the university TBox plus a Galen module and one edit link, as the
+     ontology-edit workload loads it, at a smaller module scale *)
+  let galen =
+    Ontgen.Generator.generate ~seed:0x6A1E ~prefix:"g"
+      (Ontgen.Generator.scale 0.01 Ontgen.Profiles.galen)
+  in
+  let t =
+    Tbox.add
+      (Syntax.Concept_incl (Syntax.Atomic "gC3", Syntax.C_basic (Syntax.Atomic "Person")))
+      (Tbox.union Ontgen.Datagen.university_tbox galen)
+  in
+  let cls = Classify.classify t in
+  let subs = Classify.name_level cls in
+  Alcotest.(check bool) "some subsumptions" true (List.length subs > 100);
+  Alcotest.(check bool) "= definitional list" true (subs = definitional_name_level cls)
+
 let test_equivalence_classes () =
   let cls = Classify.classify (parse {|
     A [= B
@@ -430,6 +469,13 @@ let prop_deductive_closure_sound =
           let o = Oracle.of_tbox t in
           List.for_all (Oracle.entails o) (Deductive.closure_axioms d)))
 
+let prop_name_level_definitional =
+  QCheck.Test.make ~count:300 ~name:"name_level = definitional pair list"
+    QCheck.(make ~print:string_of_int Gen.nat)
+    (fun seed ->
+      let cls = Classify.classify (Ontgen.Casegen.tbox (Ontgen.Rng.create seed)) in
+      Classify.name_level cls = definitional_name_level cls)
+
 let () =
   Alcotest.run "classify"
     [
@@ -447,6 +493,8 @@ let () =
             test_classify_role_to_concept_propagation;
           Alcotest.test_case "inverses" `Quick test_classify_inverse_handling;
           Alcotest.test_case "name-level output" `Quick test_name_level_output;
+          Alcotest.test_case "name-level on ontology-edit shape" `Quick
+            test_name_level_ontology_edit_shape;
           Alcotest.test_case "equivalence classes" `Quick test_equivalence_classes;
           Alcotest.test_case "equivalence classes merge unsat" `Quick
             test_equivalence_classes_unsat;
@@ -479,6 +527,7 @@ let () =
             prop_unsat_matches_oracle;
             prop_implication_matches_oracle;
             prop_closure_algorithms_agree_on_classification;
+            prop_name_level_definitional;
             prop_deductive_closure_sound;
           ] );
     ]

@@ -122,7 +122,7 @@ let company_tbox =
   |}
 
 let taxonomy_of s =
-  Taxonomy.build (Quonto.Classify.classify (parse s)) Taxonomy.Concepts
+  Taxonomy.build (Quonto.Classify.classify (parse s)) Quonto.Classify.Concepts
 
 let test_taxonomy_structure () =
   let t = taxonomy_of company_tbox in
@@ -166,7 +166,7 @@ let test_taxonomy_roles () =
         p [= q
         q [= r
       |}))
-      Taxonomy.Roles
+      Quonto.Classify.Roles
   in
   Alcotest.(check (list string)) "direct super of p" [ "q" ]
     (Taxonomy.direct_supers t "p");
@@ -178,7 +178,7 @@ let prop_taxonomy_consistent_with_classification =
     Ontgen.Qgen.arbitrary_tbox (fun axioms ->
       let tbox = Ontgen.Qgen.tbox_of_axioms axioms in
       let cls = Quonto.Classify.classify tbox in
-      let t = Taxonomy.build cls Taxonomy.Concepts in
+      let t = Taxonomy.build cls Quonto.Classify.Concepts in
       let sub a b =
         Quonto.Classify.subsumes cls
           (Syntax.E_concept (Syntax.Atomic a))
@@ -194,7 +194,7 @@ let prop_taxonomy_covers_classification =
     Ontgen.Qgen.arbitrary_tbox (fun axioms ->
       let tbox = Ontgen.Qgen.tbox_of_axioms axioms in
       let cls = Quonto.Classify.classify tbox in
-      let t = Taxonomy.build cls Taxonomy.Concepts in
+      let t = Taxonomy.build cls Quonto.Classify.Concepts in
       (* walk up the taxonomy from a and collect everything reachable *)
       let rec ancestors seen name =
         List.fold_left
