@@ -8,6 +8,8 @@
      dune exec bench/main.exe closure | unsat | implication | approx | scaling | data
      dune exec bench/main.exe rewrite [--scale 0.03]
                                                # A4 + Galen-scale compile; writes BENCH_rewrite.json
+     dune exec bench/main.exe classify [--scale 0.03]
+                                               # A16 classification layers; writes BENCH_classify.json
      dune exec bench/main.exe closure-par [--scale 0.04] [--jobs 4]
                                                # seq-vs-parallel closure; writes BENCH_closure.json
      dune exec bench/main.exe serve            # cold-vs-warm service; writes BENCH_serve.json
@@ -554,6 +556,65 @@ let rewrite_bench ~module_scale () =
     galen;
   close_out oc;
   Printf.printf "(table written to BENCH_rewrite.json)\n\n"
+
+(* ------------------------------------------------------------------ *)
+(* A16: the classification layers of ontology-edit's TBox load         *)
+(* ------------------------------------------------------------------ *)
+
+(* ontology-edit's base TBox (the university TBox plus the Galen module
+   at [module_scale], seed 0x6A1E), from its wire text to the name-level
+   reply and both taxonomies; writes BENCH_classify.json *)
+let classify_bench ~module_scale () =
+  let module_tbox =
+    Ontgen.Generator.generate ~seed:0x6A1E ~prefix:"g"
+      (Ontgen.Generator.scale module_scale Ontgen.Profiles.galen)
+  in
+  let text =
+    String.concat "\n"
+      (Server.Service.tbox_payload (Tbox.union Ontgen.Datagen.university_tbox module_tbox))
+  in
+  let time f =
+    Gc.compact ();
+    best_ms ~n:5 f
+  in
+  let tbox, parse_ms = time (fun () -> Parser.tbox_of_string_exn text) in
+  let cls, classify_ms = time (fun () -> Quonto.Classify.classify tbox) in
+  let pairs, name_level_ms = time (fun () -> Quonto.Classify.name_level cls) in
+  let lines, render_ms = time (fun () -> List.map Quonto.Classify.line pairs) in
+  let taxonomy sort = time (fun () -> Quonto.Taxonomy.build cls sort) in
+  let concepts, concepts_ms = taxonomy Quonto.Classify.Concepts in
+  let roles, roles_ms = taxonomy Quonto.Classify.Roles in
+  let signature = Tbox.signature tbox in
+  let rows =
+    [
+      ("parse", parse_ms); ("classify", classify_ms); ("name_level", name_level_ms);
+      ("render_lines", render_ms); ("taxonomy_concepts", concepts_ms);
+      ("taxonomy_roles", roles_ms);
+    ]
+  in
+  Printf.printf "== A16: classification layers, ontology-edit's base TBox (Galen %.3f) ==\n"
+    module_scale;
+  List.iter (fun (layer, ms) -> Printf.printf "%-20s %10.2f ms\n" layer ms) rows;
+  let oc = open_out "BENCH_classify.json" in
+  Printf.fprintf oc
+    "{\n  \"bench\": \"classify\",\n  \"host_cores\": %d,\n  \"module_scale\": %g,\n  \
+     \"seed\": \"0x6A1E\",\n  \"repeats\": \"best of 5 (or fewer once a layer has taken 1 s), after a Gc.compact\",\n  \
+     \"axioms\": %d,\n  \"concepts\": %d,\n  \"roles\": %d,\n  \"attributes\": %d,\n  \
+     \"name_level_pairs\": %d,\n  \"reply_bytes\": %d,\n  \"taxonomy_concept_nodes\": %d,\n  \
+     \"taxonomy_role_nodes\": %d,\n  \"ms\": {\n%s\n  }\n}\n"
+    (Domain.recommended_domain_count ())
+    module_scale (Tbox.axiom_count tbox)
+    (List.length (Signature.concepts signature))
+    (List.length (Signature.roles signature))
+    (List.length (Signature.attributes signature))
+    (List.length pairs)
+    (List.fold_left (fun n l -> n + String.length l + 1) 0 lines)
+    (Quonto.Taxonomy.node_count concepts)
+    (Quonto.Taxonomy.node_count roles)
+    (String.concat ",\n"
+       (List.map (fun (layer, ms) -> Printf.sprintf "    \"%s\": %.3f" layer ms) rows));
+  close_out oc;
+  Printf.printf "(table written to BENCH_classify.json)\n\n"
 
 (* ------------------------------------------------------------------ *)
 (* A5: syntactic vs semantic approximation                             *)
@@ -1637,7 +1698,8 @@ let () =
     | _ :: rest -> get_opt name default rest
   in
   let scale = get_opt "--scale" 0.04 args in
-  (* [bench rewrite]'s Galen module: ontology-edit's scale by default *)
+  (* [bench rewrite]'s and [bench classify]'s Galen module:
+     ontology-edit's scale by default *)
   let module_scale = get_opt "--scale" 0.03 args in
   let timeout = get_opt "--timeout" 10.0 args in
   let jobs = int_of_float (get_opt "--jobs" 4.0 args) in
@@ -1650,8 +1712,8 @@ let () =
         List.mem a
           [
             "figure1"; "figure2"; "closure"; "closure-par"; "unsat"; "implication";
-            "rewrite"; "approx"; "scaling"; "data"; "serve"; "recover"; "conformance";
-            "micro"; "cluster";
+            "rewrite"; "classify"; "approx"; "scaling"; "data"; "serve"; "recover";
+            "conformance"; "micro"; "cluster";
           ])
       args
   in
@@ -1664,6 +1726,7 @@ let () =
     | "unsat" -> unsat_ablation ()
     | "implication" -> implication_ablation ()
     | "rewrite" -> rewrite_bench ~module_scale ()
+    | "classify" -> classify_bench ~module_scale ()
     | "approx" -> approx_ablation ()
     | "scaling" -> scaling_ablation ()
     | "data" -> data_ablation ()
@@ -1684,6 +1747,7 @@ let () =
     unsat_ablation ();
     implication_ablation ();
     rewrite_bench ~module_scale ();
+    classify_bench ~module_scale ();
     approx_ablation ();
     scaling_ablation ();
     data_ablation ();

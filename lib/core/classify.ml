@@ -11,10 +11,12 @@
 
     The classification is [Phi_T ∪ Omega_T], exposed both as a
     subsumption test ([subsumes], [subsumers], [subsumees]) and as
-    name-level output.  Every name-level reader — [name_level], the two
-    hierarchies, [Taxonomy.build] and the [CLASSIFY] reply — goes
-    through one sorted per-sort walk ([walk]) over the signature's
-    names, and [line] is the one textual form of its pairs. *)
+    name-level output.  The pair readers — [name_level], the two
+    hierarchies and the [CLASSIFY] reply — go through one sorted
+    per-sort walk ([walk]) over the signature's names, and [line] is the
+    one textual form of its pairs.  The class readers — [Taxonomy.build]
+    and [equivalence_classes] — read the same closure rows once per
+    equivalence class ([classes]). *)
 
 open Dllite
 
@@ -55,18 +57,24 @@ let tbox t = Encoding.tbox t.encoding
 (** [is_unsat t e] — unsatisfiability of a basic expression. *)
 let is_unsat t e = Unsat.is_unsat t.unsat e
 
-(** [subsumes t e1 e2] decides [T ⊨ e1 ⊑ e2] for same-sort basic
-    expressions: either [(e1, e2)] is in the closure ([Phi_T]) or [e1]
-    is unsatisfiable ([Omega_T]).  Expressions outside the signature
-    only subsume themselves. *)
-let subsumes t e1 e2 =
+(** [subsumes_by reaches encoding unsat e1 e2] decides [T ⊨ e1 ⊑ e2]
+    for same-sort basic expressions, given a reflexive reachability test
+    [reaches] over the Definition-1 digraph: either [e1] reaches [e2]
+    ([Phi_T]) or [e1] is unsatisfiable ([Omega_T]).  Expressions outside
+    the signature only subsume themselves.  The materialized closure
+    ([subsumes]) and [Implication]'s on-demand search both answer
+    through this one rule. *)
+let subsumes_by reaches encoding unsat e1 e2 =
   Encoding.same_sort e1 e2
   &&
-  match Encoding.node_opt t.encoding e1, Encoding.node_opt t.encoding e2 with
-  | Some n1, Some n2 ->
-    Graphlib.Closure.reaches t.closure n1 n2 || Unsat.is_unsat_node t.unsat n1
-  | Some n1, None -> Unsat.is_unsat_node t.unsat n1
+  match Encoding.node_opt encoding e1, Encoding.node_opt encoding e2 with
+  | Some n1, Some n2 -> reaches n1 n2 || Unsat.is_unsat_node unsat n1
+  | Some n1, None -> Unsat.is_unsat_node unsat n1
   | None, Some _ | None, None -> Syntax.equal_expr e1 e2
+
+(** [subsumes t e1 e2] is [subsumes_by] over the materialized closure. *)
+let subsumes t e1 e2 =
+  subsumes_by (Graphlib.Closure.reaches t.closure) t.encoding t.unsat e1 e2
 
 (** [subsumers t e] lists every basic expression [e'] with
     [T ⊨ e ⊑ e'] (restricted to the signature's node set, [e] included). *)
@@ -179,34 +187,73 @@ let line = function
   | Role_sub (p, q) -> "role " ^ p ^ " [= " ^ q
   | Attr_sub (u, v) -> "attr " ^ u ^ " [= " ^ v
 
-(** [equivalence_classes t] groups concept names mutually subsuming each
-    other (cycles in the digraph), a common design-quality signal.
+(** The names of one sort grouped as the classification orders them. *)
+type classes = {
+  unsatisfiable : string list;  (** the unsatisfiable names ([Omega_T]), sorted *)
+  live : string array;  (** the satisfiable names, sorted *)
+  members : int list array;
+      (** [members.(k)]: class [k]'s names, as ascending indices into
+          [live]; classes are numbered by their first member *)
+  supers : int list array;  (** [supers.(k)]: class [k]'s strict superclasses *)
+}
 
-    Read directly off the Tarjan components of the Definition-1 digraph
-    instead of probing all O(n²) name pairs with [subsumes]: two
-    satisfiable names are equivalent iff their nodes share an SCC, and
-    the unsatisfiable names form one equivalence class of their own
-    ([a ⊑ ⊥] makes [a] subsumed by — and, via [Omega_T], a subsumer of —
-    every other unsatisfiable name; [computeUnsat] is closed under
-    digraph predecessors, so a satisfiable name can never reach an
-    unsatisfiable one). *)
+(** [classes t sort] reads the equivalence classes of [sort]'s
+    satisfiable names, and each class's strict superclasses, off the
+    closure rows: two names are equivalent when each one's row holds the
+    other, and a class is above another when the latter's row holds its
+    names.  [computeUnsat] is closed under digraph predecessors, so no
+    satisfiable name reaches an unsatisfiable one.  Cost: two passes over
+    one name's row per class. *)
+let classes t sort =
+  let node a = Encoding.node t.encoding (expr_of_name sort a) in
+  let unsatisfiable, live =
+    List.partition (fun a -> Unsat.is_unsat_node t.unsat (node a)) (names t sort)
+  in
+  let live = Array.of_list live in
+  let nodes = Array.map node live in
+  (* digraph node -> index into [live], or -1 *)
+  let index = Array.make (Encoding.node_count t.encoding) (-1) in
+  Array.iteri (fun i v -> index.(v) <- i) nodes;
+  let class_of = Array.make (Array.length live) (-1) in
+  let count = ref 0 and reps = ref [] in
+  Array.iteri
+    (fun i v ->
+      if class_of.(i) < 0 then begin
+        let k = !count in
+        incr count;
+        reps := i :: !reps;
+        Graphlib.Bitvec.iter_set (Graphlib.Closure.descendants t.closure v) (fun w ->
+            if index.(w) >= 0 && Graphlib.Closure.reaches t.closure w v then
+              class_of.(index.(w)) <- k)
+      end)
+    nodes;
+  let count = !count and reps = Array.of_list (List.rev !reps) in
+  let members = Array.make count [] in
+  for i = Array.length live - 1 downto 0 do
+    members.(class_of.(i)) <- i :: members.(class_of.(i))
+  done;
+  let supers = Array.make count [] in
+  let seen = Array.make count (-1) in
+  Array.iteri
+    (fun k i ->
+      Graphlib.Bitvec.iter_set (Graphlib.Closure.descendants t.closure nodes.(i)) (fun w ->
+          if index.(w) >= 0 then begin
+            let d = class_of.(index.(w)) in
+            if d <> k && seen.(d) <> k then begin
+              seen.(d) <- k;
+              supers.(k) <- d :: supers.(k)
+            end
+          end))
+    reps;
+  { unsatisfiable; live; members; supers }
+
+(** [equivalence_classes t] groups concept names mutually subsuming each
+    other (cycles in the digraph), a common design-quality signal: the
+    classes of [classes], plus the unsatisfiable names as one class of
+    their own ([a ⊑ ⊥] makes [a] subsumed by — and, via [Omega_T], a
+    subsumer of — every other unsatisfiable name).  Sorted. *)
 let equivalence_classes t =
-  let scc = Graphlib.Scc.tarjan (Encoding.graph t.encoding) in
-  (* key: component id for satisfiable in-graph names, [-1] for the
-     merged unsatisfiable class; names outside the digraph only subsume
-     themselves and stay singletons. *)
-  let classes = Hashtbl.create 16 in
-  let singletons = ref [] in
-  List.iter
-    (fun a ->
-      match Encoding.node_opt t.encoding (Syntax.E_concept (Syntax.Atomic a)) with
-      | None -> singletons := [ a ] :: !singletons
-      | Some n ->
-        let key =
-          if Unsat.is_unsat_node t.unsat n then -1 else scc.Graphlib.Scc.component.(n)
-        in
-        let prev = Option.value ~default:[] (Hashtbl.find_opt classes key) in
-        Hashtbl.replace classes key (a :: prev))
-    (names t Concepts);
-  Hashtbl.fold (fun _ members acc -> List.rev members :: acc) classes !singletons
+  let c = classes t Concepts in
+  let classes = Array.to_list (Array.map (List.map (fun i -> c.live.(i))) c.members) in
+  (if c.unsatisfiable = [] then classes else c.unsatisfiable :: classes)
   |> List.sort Stdlib.compare

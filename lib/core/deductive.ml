@@ -22,16 +22,27 @@
 
 open Dllite
 
-type t = { classification : Classify.t }
+(** The digraph, the [computeUnsat] fixpoint and a reflexive
+    reachability test over the digraph: the materialized closure
+    ([of_classification]) or an on-demand search ([Implication]). *)
+type t = {
+  encoding : Encoding.t;
+  unsat : Unsat.t;
+  reaches : int -> int -> bool;
+}
 
-let of_classification classification = { classification }
+let of_classification cls =
+  {
+    encoding = Classify.encoding cls;
+    unsat = Classify.unsat cls;
+    reaches = Graphlib.Closure.reaches (Classify.closure cls);
+  }
 
 (** [compute tbox] classifies and wraps. *)
-let compute tbox = { classification = Classify.classify tbox }
+let compute tbox = of_classification (Classify.classify tbox)
 
-let classification t = t.classification
-
-let subsumes t = Classify.subsumes t.classification
+let is_unsat t e = Unsat.is_unsat t.unsat e
+let subsumes t = Classify.subsumes_by t.reaches t.encoding t.unsat
 
 (** [entails_disjoint t e1 e2] decides [T ⊨ e1 ⊑ ¬e2].  Besides matching
     a declared disjointness up to subsumption, role (resp. attribute)
@@ -40,9 +51,8 @@ let subsumes t = Classify.subsumes t.classification
     component in [∃Q1 ⊓ ∃Q2] and its second in [∃Q1⁻ ⊓ ∃Q2⁻]. *)
 let rec entails_disjoint t e1 e2 =
   Encoding.same_sort e1 e2
-  && (Classify.is_unsat t.classification e1
-      || Classify.is_unsat t.classification e2
-      || (let enc = Classify.encoding t.classification in
+  && (is_unsat t e1 || is_unsat t e2
+      || (let enc = t.encoding in
           let covered n1' n2' =
             (* original disjointness S1' ⊑ ¬S2' as node pair (n1', n2') *)
             let s1' = Encoding.expr enc n1' and s2' = Encoding.expr enc n2' in
@@ -68,11 +78,10 @@ let rec entails_disjoint t e1 e2 =
 
 (** [entails_qualified t b q a] decides [T ⊨ B ⊑ ∃Q.A]. *)
 let entails_qualified t b q a =
-  let cls = t.classification in
-  let enc = Classify.encoding cls in
+  let enc = t.encoding in
   let c_b = Syntax.E_concept b in
   let c_a = Syntax.E_concept (Syntax.Atomic a) in
-  Classify.is_unsat cls c_b
+  is_unsat t c_b
   || List.exists
        (fun (nb', q', a') ->
          let b' = Encoding.expr enc nb' in
@@ -81,7 +90,7 @@ let entails_qualified t b q a =
          && subsumes t (Syntax.E_concept (Syntax.Atomic a')) c_a)
        enc.Encoding.qualified_axioms
   ||
-  let signature = Tbox.signature (Classify.tbox cls) in
+  let signature = Tbox.signature (Encoding.tbox enc) in
   let role_candidates =
     List.concat_map
       (fun p -> [ Syntax.Direct p; Syntax.Inverse p ])
@@ -95,8 +104,8 @@ let entails_qualified t b q a =
     role_candidates
 
 (** [entails t ax] decides [T ⊨ ax] for an arbitrary DL-Lite_R axiom —
-    the *logical implication* service of Section 5, closure-based
-    variant. *)
+    the *logical implication* service of Section 5, with or without the
+    materialized closure, depending on how [t] was built. *)
 let entails t = function
   | Syntax.Concept_incl (b, Syntax.C_basic b') ->
     subsumes t (Syntax.E_concept b) (Syntax.E_concept b')
@@ -119,8 +128,7 @@ let entails t = function
     a DL-Lite TBox is polynomial in the signature), but still quadratic:
     meant for inspection and tests, not for FMA-sized inputs. *)
 let closure_axioms t =
-  let cls = t.classification in
-  let signature = Tbox.signature (Classify.tbox cls) in
+  let signature = Tbox.signature (Encoding.tbox t.encoding) in
   let concepts =
     List.map (fun a -> Syntax.Atomic a) (Signature.concepts signature)
     @ List.concat_map

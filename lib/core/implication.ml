@@ -4,99 +4,19 @@
     Positive inclusions are answered by a graph search from the
     left-hand node; negative inclusions and unsatisfiability need the
     [computeUnsat] fixpoint, which is itself cheap, but the expensive
-    closure matrix is never built.  Ablation [A3] compares this against
-    the closure-based [Deductive.entails]. *)
+    closure matrix is never built.  The entailment rules are
+    [Deductive]'s; only the reachability test differs.  Ablation [A3]
+    compares this against the closure-based [Deductive.entails]. *)
 
-open Dllite
-
-type t = {
-  encoding : Encoding.t;
-  unsat : Unsat.t;
-  reach : Graphlib.Closure.On_demand.t;
-}
+type t = Deductive.t
 
 (** [prepare tbox] builds the digraph and the unsat fixpoint, but no
-    closure. *)
+    closure: subsumption is answered by memoized reachability. *)
 let prepare tbox =
   let encoding = Encoding.build tbox in
   let unsat = Unsat.compute encoding in
   let reach = Graphlib.Closure.On_demand.create (Encoding.graph encoding) in
-  { encoding; unsat; reach }
+  { Deductive.encoding; unsat; reaches = Graphlib.Closure.On_demand.reaches reach }
 
-let is_unsat t e = Unsat.is_unsat t.unsat e
-
-(** [subsumes t e1 e2] — [T ⊨ e1 ⊑ e2] by memoized reachability. *)
-let subsumes t e1 e2 =
-  Encoding.same_sort e1 e2
-  &&
-  match Encoding.node_opt t.encoding e1, Encoding.node_opt t.encoding e2 with
-  | Some n1, Some n2 ->
-    Graphlib.Closure.On_demand.reaches t.reach n1 n2 || Unsat.is_unsat_node t.unsat n1
-  | Some n1, None -> Unsat.is_unsat_node t.unsat n1
-  | None, Some _ | None, None -> Syntax.equal_expr e1 e2
-
-(* See [Deductive.entails_disjoint] for the component rule on roles and
-   attributes. *)
-let rec entails_disjoint t e1 e2 =
-  Encoding.same_sort e1 e2
-  && (is_unsat t e1 || is_unsat t e2
-      || List.exists
-           (fun (n1', n2') ->
-             let s1' = Encoding.expr t.encoding n1' in
-             let s2' = Encoding.expr t.encoding n2' in
-             (subsumes t e1 s1' && subsumes t e2 s2')
-             || (subsumes t e1 s2' && subsumes t e2 s1'))
-           t.encoding.Encoding.negative_pairs
-      ||
-      match e1, e2 with
-      | Syntax.E_role q1, Syntax.E_role q2 ->
-        entails_disjoint t
-          (Syntax.E_concept (Syntax.Exists q1))
-          (Syntax.E_concept (Syntax.Exists q2))
-        || entails_disjoint t
-             (Syntax.E_concept (Syntax.Exists (Syntax.role_inverse q1)))
-             (Syntax.E_concept (Syntax.Exists (Syntax.role_inverse q2)))
-      | Syntax.E_attr u1, Syntax.E_attr u2 ->
-        entails_disjoint t
-          (Syntax.E_concept (Syntax.Attr_domain u1))
-          (Syntax.E_concept (Syntax.Attr_domain u2))
-      | Syntax.E_concept _, _ | _, Syntax.E_concept _
-      | Syntax.E_role _, _ | Syntax.E_attr _, _ -> false)
-
-let entails_qualified t b q a =
-  let c_b = Syntax.E_concept b in
-  let c_a = Syntax.E_concept (Syntax.Atomic a) in
-  is_unsat t c_b
-  || List.exists
-       (fun (nb', q', a') ->
-         subsumes t c_b (Encoding.expr t.encoding nb')
-         && subsumes t (Syntax.E_role q') (Syntax.E_role q)
-         && subsumes t (Syntax.E_concept (Syntax.Atomic a')) c_a)
-       t.encoding.Encoding.qualified_axioms
-  ||
-  let signature = Tbox.signature (Encoding.tbox t.encoding) in
-  List.exists
-    (fun p ->
-      List.exists
-        (fun q' ->
-          subsumes t c_b (Syntax.E_concept (Syntax.Exists q'))
-          && subsumes t (Syntax.E_role q') (Syntax.E_role q)
-          && subsumes t (Syntax.E_concept (Syntax.Exists (Syntax.role_inverse q'))) c_a)
-        [ Syntax.Direct p; Syntax.Inverse p ])
-    (Signature.roles signature)
-
-(** [entails t ax] decides [T ⊨ ax] lazily. *)
-let entails t = function
-  | Syntax.Concept_incl (b, Syntax.C_basic b') ->
-    subsumes t (Syntax.E_concept b) (Syntax.E_concept b')
-  | Syntax.Concept_incl (b, Syntax.C_neg b') ->
-    entails_disjoint t (Syntax.E_concept b) (Syntax.E_concept b')
-  | Syntax.Concept_incl (b, Syntax.C_exists_qual (q, a)) -> entails_qualified t b q a
-  | Syntax.Role_incl (q, Syntax.R_role q') ->
-    subsumes t (Syntax.E_role q) (Syntax.E_role q')
-  | Syntax.Role_incl (q, Syntax.R_neg q') ->
-    entails_disjoint t (Syntax.E_role q) (Syntax.E_role q')
-  | Syntax.Attr_incl (u, Syntax.A_attr u') ->
-    subsumes t (Syntax.E_attr u) (Syntax.E_attr u')
-  | Syntax.Attr_incl (u, Syntax.A_neg u') ->
-    entails_disjoint t (Syntax.E_attr u) (Syntax.E_attr u')
+(** [entails t ax] decides [T ⊨ ax] lazily, through [Deductive]'s rules. *)
+let entails = Deductive.entails

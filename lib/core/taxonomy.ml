@@ -6,9 +6,9 @@
     generator and the diagram renderer want, and it is how real
     reasoners report classification (a Hasse diagram, not all pairs).
 
-    A taxonomy is built from the classification's name-level pairs, read
-    by the same per-sort walk ([Classify.walk]) that produces [CLASSIFY]
-    output, then transitively reduced over the SCC condensation. *)
+    A taxonomy is read off the classification's own closure rows, once
+    per equivalence class ([Classify.classes]): no name graph, second
+    closure or separate transitive reduction is built. *)
 
 (** One taxonomy node: an equivalence class of names. *)
 type node = {
@@ -24,54 +24,70 @@ type t = {
 }
 
 (** [build cls sort] — the taxonomy of the given name sort from a
-    classification.  Its edges are the classification's own name pairs
-    ([Classify.walk]); unsatisfiable names are set apart first, and
-    since [computeUnsat] is closed under digraph predecessors no
-    satisfiable name reaches one. *)
+    classification.  Its classes and their strict superclasses come from
+    the closure rows ([Classify.classes]); a class's direct parents are
+    its strict superclasses minus every class strictly above one of
+    them.  Nodes are numbered in the post-order of a walk that starts
+    from the classes in ascending order of their first name and enters
+    each class's superclasses in descending order of their last name —
+    the order Tarjan's algorithm gives on the closed name graph — so a
+    super-node always has a smaller id than its sub-nodes. *)
 let build cls (sort : Classify.sort) =
-  let unsatisfiable, live =
-    List.partition
-      (fun a -> Classify.is_unsat cls (Classify.expr_of_name sort a))
-      (Classify.names cls sort)
+  let c = Classify.classes cls sort in
+  let count = Array.length c.members in
+  let last = Array.map (List.fold_left (fun _ i -> i) (-1)) c.members in
+  let id = Array.make count (-1) in
+  let next = ref 0 in
+  (* the recursion is as deep as the longest superclass chain *)
+  let rec visit k =
+    id.(k) <- count (* entered, not yet numbered *);
+    List.iter
+      (fun d -> if id.(d) < 0 then visit d)
+      (List.sort (fun d e -> compare last.(e) last.(d)) c.supers.(k));
+    id.(k) <- !next;
+    incr next
   in
-  let live = Array.of_list live in
-  let live_index = Hashtbl.create (Array.length live) in
-  Array.iteri (fun i a -> Hashtbl.replace live_index a i) live;
-  (* subsumption graph over satisfiable names *)
-  let g = Graphlib.Graph.create ~initial_nodes:(Array.length live) () in
-  List.iter
-    (fun (a, b) ->
-      match Hashtbl.find_opt live_index a, Hashtbl.find_opt live_index b with
-      | Some i, Some j -> Graphlib.Graph.add_edge g i j
-      | _ -> ())
-    (Classify.walk cls sort (fun a b -> (a, b)));
-  let scc, direct_edges = Graphlib.Reduction.reduce g in
-  let node_count = scc.Graphlib.Scc.count in
-  let members =
-    Array.map
-      (fun ms -> List.sort compare (List.map (fun i -> live.(i)) ms))
-      scc.Graphlib.Scc.members
+  for k = 0 to count - 1 do
+    if id.(k) < 0 then visit k
+  done;
+  let members = Array.make count [] in
+  let supers = Array.make count [] in
+  for k = 0 to count - 1 do
+    members.(id.(k)) <- List.map (fun i -> c.live.(i)) c.members.(k);
+    supers.(id.(k)) <-
+      List.sort (fun a b -> compare b a) (List.map (fun d -> id.(d)) c.supers.(k))
+  done;
+  (* Supers come before their sub-nodes in the numbering, so walking a
+     node's supers downwards from the largest id meets each direct one
+     before anything above it: a super is direct unless a direct one
+     already covered it. *)
+  let covered = Array.make count (-1) in
+  let parents =
+    Array.mapi
+      (fun x sups ->
+        List.fold_left
+          (fun direct d ->
+            if covered.(d) = x then direct
+            else begin
+              List.iter (fun e -> covered.(e) <- x) supers.(d);
+              d :: direct
+            end)
+          [] sups)
+      supers
   in
-  let parents = Array.make node_count [] in
-  let children = Array.make node_count [] in
-  List.iter
-    (fun (c_sub, c_super) ->
-      parents.(c_sub) <- c_super :: parents.(c_sub);
-      children.(c_super) <- c_sub :: children.(c_super))
-    direct_edges;
+  let children = Array.make count [] in
+  for x = count - 1 downto 0 do
+    List.iter (fun p -> children.(p) <- x :: children.(p)) parents.(x)
+  done;
   let nodes =
-    Array.init node_count (fun c ->
-        {
-          members = members.(c);
-          parents = List.sort compare parents.(c);
-          children = List.sort compare children.(c);
-        })
+    Array.init count (fun x ->
+        { members = members.(x); parents = parents.(x); children = children.(x) })
   in
   let index = Hashtbl.create 64 in
   Array.iteri
-    (fun c node -> List.iter (fun name -> Hashtbl.replace index name c) node.members)
+    (fun x node -> List.iter (fun name -> Hashtbl.replace index name x) node.members)
     nodes;
-  { nodes; index; unsatisfiable = List.sort compare unsatisfiable }
+  { nodes; index; unsatisfiable = c.unsatisfiable }
 
 let node_count t = Array.length t.nodes
 let node t c = t.nodes.(c)

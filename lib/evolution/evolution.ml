@@ -93,12 +93,12 @@ let probes prev next =
   in
   (signature, concept_probes @ role_probes @ attr_probes)
 
-let unsat_names cls signature =
+let unsat_names d signature =
   List.filter
-    (fun a -> Quonto.Classify.is_unsat cls (Syntax.E_concept (Syntax.Atomic a)))
+    (fun a -> Quonto.Deductive.is_unsat d (Syntax.E_concept (Syntax.Atomic a)))
     (Signature.concepts signature)
   @ List.filter
-      (fun p -> Quonto.Classify.is_unsat cls (Syntax.E_role (Syntax.Direct p)))
+      (fun p -> Quonto.Deductive.is_unsat d (Syntax.E_role (Syntax.Direct p)))
       (Signature.roles signature)
 
 let semantic ~prev ~next =
@@ -114,8 +114,8 @@ let semantic ~prev ~next =
         | true, true | false, false -> (gained, lost))
       ([], []) probe_axioms
   in
-  let unsat_prev = unsat_names (Quonto.Deductive.classification d_prev) signature in
-  let unsat_next = unsat_names (Quonto.Deductive.classification d_next) signature in
+  let unsat_prev = unsat_names d_prev signature in
+  let unsat_next = unsat_names d_next signature in
   {
     gained = List.rev gained;
     lost = List.rev lost;

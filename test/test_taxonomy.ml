@@ -1,9 +1,10 @@
-(* Tests for transitive reduction and taxonomy construction. *)
+(* Tests for the reference transitive reduction and taxonomy
+   construction. *)
 
 open Dllite
 module Graph = Graphlib.Graph
 module Closure = Graphlib.Closure
-module Reduction = Graphlib.Reduction
+module Classify = Quonto.Classify
 module Taxonomy = Quonto.Taxonomy
 
 let parse s =
@@ -173,6 +174,102 @@ let test_taxonomy_roles () =
   Alcotest.(check (list string)) "direct super of q" [ "r" ]
     (Taxonomy.direct_supers t "q")
 
+(* The reference build: the walk's pairs between satisfiable names in a
+   [Graph.t], its Tarjan components, and [Reduction.reduce] over their
+   condensation. *)
+let reference_build cls sort =
+  let unsatisfiable, live =
+    List.partition
+      (fun a -> Classify.is_unsat cls (Classify.expr_of_name sort a))
+      (Classify.names cls sort)
+  in
+  let live = Array.of_list live in
+  let live_index = Hashtbl.create (Array.length live) in
+  Array.iteri (fun i a -> Hashtbl.replace live_index a i) live;
+  let g = Graph.create ~initial_nodes:(Array.length live) () in
+  List.iter
+    (fun (a, b) ->
+      match Hashtbl.find_opt live_index a, Hashtbl.find_opt live_index b with
+      | Some i, Some j -> Graph.add_edge g i j
+      | _ -> ())
+    (Classify.walk cls sort (fun a b -> (a, b)));
+  let scc, direct_edges = Reduction.reduce g in
+  let count = scc.Graphlib.Scc.count in
+  let parents = Array.make count [] and children = Array.make count [] in
+  List.iter
+    (fun (sub, super) ->
+      parents.(sub) <- super :: parents.(sub);
+      children.(super) <- sub :: children.(super))
+    direct_edges;
+  let nodes =
+    Array.init count (fun c ->
+        {
+          Taxonomy.members =
+            List.sort compare (List.map (fun i -> live.(i)) scc.Graphlib.Scc.members.(c));
+          parents = List.sort compare parents.(c);
+          children = List.sort compare children.(c);
+        })
+  in
+  let index = Hashtbl.create 64 in
+  Array.iteri
+    (fun c node -> List.iter (fun name -> Hashtbl.replace index name c) node.Taxonomy.members)
+    nodes;
+  { Taxonomy.nodes; index; unsatisfiable = List.sort compare unsatisfiable }
+
+let sorts = [ Classify.Concepts; Classify.Roles; Classify.Attributes ]
+
+(* node for node: members, parents, children, and the unsatisfiable names *)
+let same_as_reference cls sort =
+  let t = Taxonomy.build cls sort and r = reference_build cls sort in
+  t.Taxonomy.nodes = r.Taxonomy.nodes && t.Taxonomy.unsatisfiable = r.Taxonomy.unsatisfiable
+
+let prop_taxonomy_matches_reference =
+  QCheck.Test.make ~count:1000 ~name:"Taxonomy.build = reference build"
+    Ontgen.Qgen.arbitrary_tbox (fun axioms ->
+      let cls = Classify.classify (Ontgen.Qgen.tbox_of_axioms axioms) in
+      List.for_all (same_as_reference cls) sorts)
+
+(* ontology-edit's shape: the university TBox, a Galen module and one
+   link from the module into the university hierarchy *)
+let test_ontology_edit_matches_reference () =
+  let galen =
+    Ontgen.Generator.generate ~seed:0x6A1E ~prefix:"g"
+      (Ontgen.Generator.scale 0.01 Ontgen.Profiles.galen)
+  in
+  let link =
+    Syntax.Concept_incl (Syntax.Atomic "gC7", Syntax.C_basic (Syntax.Atomic "Person"))
+  in
+  let tbox = Tbox.add link (Tbox.union Ontgen.Datagen.university_tbox galen) in
+  Alcotest.(check bool) "link source in the module" true
+    (Signature.mem_concept "gC7" (Tbox.signature galen));
+  let cls = Classify.classify tbox in
+  List.iter
+    (fun sort ->
+      Alcotest.(check bool) "same nodes as the reference" true (same_as_reference cls sort))
+    sorts
+
+(* a direct super is direct: no parent node lies below another one *)
+let prop_taxonomy_parents_minimal =
+  QCheck.Test.make ~count:1000 ~name:"no direct super subsumed by another"
+    Ontgen.Qgen.arbitrary_tbox (fun axioms ->
+      let cls = Classify.classify (Ontgen.Qgen.tbox_of_axioms axioms) in
+      List.for_all
+        (fun sort ->
+          let t = Taxonomy.build cls sort in
+          let name c =
+            Classify.expr_of_name sort (List.hd (Taxonomy.node t c).Taxonomy.members)
+          in
+          Array.for_all
+            (fun node ->
+              List.for_all
+                (fun p ->
+                  List.for_all
+                    (fun q -> p = q || not (Classify.subsumes cls (name p) (name q)))
+                    node.Taxonomy.parents)
+                node.Taxonomy.parents)
+            t.Taxonomy.nodes)
+        sorts)
+
 let prop_taxonomy_consistent_with_classification =
   QCheck.Test.make ~count:100 ~name:"taxonomy direct edges imply subsumption"
     Ontgen.Qgen.arbitrary_tbox (fun axioms ->
@@ -236,5 +333,9 @@ let () =
           Alcotest.test_case "role taxonomy" `Quick test_taxonomy_roles;
           QCheck_alcotest.to_alcotest prop_taxonomy_consistent_with_classification;
           QCheck_alcotest.to_alcotest prop_taxonomy_covers_classification;
+          QCheck_alcotest.to_alcotest prop_taxonomy_matches_reference;
+          Alcotest.test_case "ontology-edit shape = reference" `Quick
+            test_ontology_edit_matches_reference;
+          QCheck_alcotest.to_alcotest prop_taxonomy_parents_minimal;
         ] );
     ]
