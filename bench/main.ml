@@ -4,8 +4,10 @@
    Usage:
      dune exec bench/main.exe                  # everything, default knobs
      dune exec bench/main.exe figure1 [--scale 0.04] [--timeout 10]
+                                               # E1; writes BENCH_figure1.json
      dune exec bench/main.exe figure2
-     dune exec bench/main.exe closure | unsat | implication | approx | scaling | data
+     dune exec bench/main.exe closure | implication | approx | scaling | data
+     dune exec bench/main.exe unsat [--scale 0.04]
      dune exec bench/main.exe rewrite [--scale 0.03]
                                                # A4 + Galen-scale compile; writes BENCH_rewrite.json
      dune exec bench/main.exe classify [--scale 0.03]
@@ -38,6 +40,10 @@ let pp_cell = function
   | Time s -> Printf.sprintf "%10.3f" s
   | Timeout -> Printf.sprintf "%10s" "timeout"
 
+let json_cell = function
+  | Time s -> Printf.sprintf "%.4f" s
+  | Timeout -> "\"timeout\""
+
 let figure1 ~scale ~timeout () =
   Printf.printf
     "== E1 / Figure 1: classification times (seconds; scale %.3f, per-cell \
@@ -50,33 +56,46 @@ let figure1 ~scale ~timeout () =
     | _, elapsed -> Time elapsed
     | exception Baselines.Personas.Timed_out -> Timeout
   in
-  List.iter
-    (fun profile ->
-      let scaled = Ontgen.Generator.scale scale profile in
-      let tbox = Ontgen.Generator.generate scaled in
-      let size =
-        Signature.concept_count (Tbox.signature tbox)
-        + Signature.role_count (Tbox.signature tbox)
-      in
-      (* QuOnto: the digraph method (encode + SCC closure + computeUnsat) *)
-      let quonto = run_cell (fun () -> ignore (Quonto.Classify.classify tbox)) in
-      (* the three tableau personas, with the paper's timeout semantics *)
-      let persona p =
-        run_cell (fun () ->
-            ignore (Baselines.Personas.classify ~deadline:timeout p tbox))
-      in
-      let fact = persona Baselines.Personas.fact_plus_plus in
-      let hermit = persona Baselines.Personas.hermit in
-      let pellet = persona Baselines.Personas.pellet in
-      (* CB: consequence-based saturation (no property hierarchy) *)
-      let cb = run_cell (fun () -> ignore (Baselines.Cb.classify tbox)) in
-      Printf.printf "%-16s %10d %s %s %s %s %s\n%!" profile.Ontgen.Generator.label
-        size (pp_cell quonto) (pp_cell fact) (pp_cell hermit) (pp_cell pellet)
-        (pp_cell cb))
-    Ontgen.Profiles.figure1;
+  let rows =
+    List.map
+      (fun profile ->
+        let scaled = Ontgen.Generator.scale scale profile in
+        let tbox = Ontgen.Generator.generate scaled in
+        let size =
+          Signature.concept_count (Tbox.signature tbox)
+          + Signature.role_count (Tbox.signature tbox)
+        in
+        (* QuOnto: the digraph method (encode + SCC closure + computeUnsat) *)
+        let quonto = run_cell (fun () -> ignore (Quonto.Classify.classify tbox)) in
+        (* the three tableau personas, with the paper's timeout semantics *)
+        let persona p =
+          run_cell (fun () ->
+              ignore (Baselines.Personas.classify ~deadline:timeout p tbox))
+        in
+        let fact = persona Baselines.Personas.fact_plus_plus in
+        let hermit = persona Baselines.Personas.hermit in
+        let pellet = persona Baselines.Personas.pellet in
+        (* CB: consequence-based saturation (no property hierarchy) *)
+        let cb = run_cell (fun () -> ignore (Baselines.Cb.classify tbox)) in
+        Printf.printf "%-16s %10d %s %s %s %s %s\n%!" profile.Ontgen.Generator.label
+          size (pp_cell quonto) (pp_cell fact) (pp_cell hermit) (pp_cell pellet)
+          (pp_cell cb);
+        Printf.sprintf
+          "    {\"ontology\": %S, \"size\": %d, \"quonto_s\": %s, \"factpp_s\": %s, \
+           \"hermit_s\": %s, \"pellet_s\": %s, \"cb_s\": %s}"
+          profile.Ontgen.Generator.label size (json_cell quonto) (json_cell fact)
+          (json_cell hermit) (json_cell pellet) (json_cell cb))
+      Ontgen.Profiles.figure1
+  in
+  let oc = open_out "BENCH_figure1.json" in
+  Printf.fprintf oc
+    "{\n  \"bench\": \"figure1\",\n  \"scale\": %.4f,\n  \"persona_timeout_s\": %g,\n  \
+     \"host_cores\": %d,\n  \"runs\": 1,\n  \"rows\": [\n%s\n  ]\n}\n"
+    scale timeout (Domain.recommended_domain_count ()) (String.concat ",\n" rows);
+  close_out oc;
   Printf.printf
     "(CB column: concept hierarchy only - it does not compute the property \
-     hierarchy, as in the paper.)\n\n"
+     hierarchy, as in the paper; table written to BENCH_figure1.json)\n\n"
 
 (* ------------------------------------------------------------------ *)
 (* E2 / Figure 2: the qualified-existential diagram                    *)
@@ -102,11 +121,13 @@ let figure2 () =
     (String.length (Graphical.Layout.to_svg d))
 
 (* ------------------------------------------------------------------ *)
-(* A1: transitive-closure algorithm ablation                           *)
+(* A1: the transitive closure against its DFS and Warshall oracles     *)
 (* ------------------------------------------------------------------ *)
 
 let closure_ablation () =
-  Printf.printf "== A1: transitive-closure algorithms on Definition-1 digraphs ==\n";
+  Printf.printf
+    "== A1: Closure.compute (scc) against its DFS and Warshall oracles on \
+     Definition-1 digraphs ==\n";
   Printf.printf "%-24s %8s %8s %10s %10s %10s\n" "profile" "nodes" "edges" "dfs"
     "warshall" "scc";
   List.iter
@@ -115,16 +136,13 @@ let closure_ablation () =
       let enc = Quonto.Encoding.build tbox in
       let g = Quonto.Encoding.graph enc in
       let n = Graphlib.Graph.node_count g in
-      let time_alg algorithm =
-        let _, t = timeit (fun () -> ignore (Graphlib.Closure.compute ~algorithm g)) in
-        t
-      in
-      let dfs = time_alg Graphlib.Closure.Dfs in
+      let time f = snd (timeit (fun () -> ignore (f g))) in
+      let dfs = time Closure_oracle.dfs in
       let warshall =
-        if n <= 3000 then Printf.sprintf "%10.3f" (time_alg Graphlib.Closure.Warshall)
+        if n <= 3000 then Printf.sprintf "%10.3f" (time Closure_oracle.warshall)
         else Printf.sprintf "%10s" "skipped"
       in
-      let scc = time_alg Graphlib.Closure.Scc_condense in
+      let scc = time (fun g -> Graphlib.Closure.compute g) in
       Printf.printf "%-24s %8d %8d %10.3f %s %10.3f\n%!"
         (Printf.sprintf "%s x%.2f" profile.Ontgen.Generator.label scale)
         n (Graphlib.Graph.edge_count g) dfs warshall scc)
@@ -140,10 +158,10 @@ let closure_ablation () =
 (* A8: parallel transitive closure (domain pool) ablation              *)
 (* ------------------------------------------------------------------ *)
 
-(* Sequential-vs-parallel closure on the Definition-1 digraphs, sweeping
-   the domain-pool width.  Every parallel result is checked to be
-   [Closure.equal] to the sequential one, and the table is also written
-   as machine-readable BENCH_closure.json (consumed by CI and
+(* [Closure.compute] inline and on domain pools of each width, on the
+   Definition-1 digraphs.  Every pooled closure is checked row for row
+   against the inline one, and the table is also written as
+   machine-readable BENCH_closure.json (consumed by CI and
    EXPERIMENTS.md).  Pools are created directly (not via
    [Parallel.Pool.global]) so the domains really spawn even when the
    host reports a single core — the point here is measuring, not
@@ -158,7 +176,7 @@ let closure_par ~scale ~jobs () =
   (* median of [runs] timings after one untimed warm-up, each from a
      collected heap: a best-of-k minimum, or a run that inherits the
      previous one's garbage, let [jobs=1] show a "speedup" over the
-     sequential algorithm it degrades to *)
+     inline pass it runs *)
   let runs = 7 in
   let median_time f =
     f ();
@@ -173,95 +191,73 @@ let closure_par ~scale ~jobs () =
     "== A8: parallel transitive closure (domain pool; scale %.3f, host cores %d) ==\n"
     scale
     (Domain.recommended_domain_count ());
-  Printf.printf "%-24s %8s %8s %-8s %10s" "profile" "nodes" "edges" "alg" "seq (s)";
+  Printf.printf "%-24s %8s %8s %10s" "profile" "nodes" "edges" "inline (s)";
   List.iter (fun j -> Printf.printf " %7s %5s" (Printf.sprintf "j=%d (s)" j) "x") job_counts;
   Printf.printf "\n";
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\n  \"bench\": \"closure-par\",\n  \"scale\": %.4f,\n  \"host_cores\": %d,\n  \"runs\": %d,\n  \"warmups\": 1,\n  \"profiles\": [\n"
-       scale
-       (Domain.recommended_domain_count ())
-       runs);
-  let first_profile = ref true in
-  List.iter
-    (fun (profile, profile_scale) ->
-      let tbox =
-        Ontgen.Generator.generate (Ontgen.Generator.scale profile_scale profile)
-      in
-      let enc = Quonto.Encoding.build tbox in
-      let g = Quonto.Encoding.graph enc in
-      let n = Graphlib.Graph.node_count g in
-      let label = Printf.sprintf "%s x%.2f" profile.Ontgen.Generator.label profile_scale in
-      if not !first_profile then Buffer.add_string buf ",\n";
-      first_profile := false;
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"profile\": %S, \"nodes\": %d, \"edges\": %d, \"algorithms\": [\n"
-           label n (Graphlib.Graph.edge_count g));
-      let first_alg = ref true in
-      List.iter
-        (fun (seq_alg, par_alg) ->
-          let reference = Graphlib.Closure.compute ~algorithm:seq_alg g in
-          let seq_s =
-            median_time (fun () -> ignore (Graphlib.Closure.compute ~algorithm:seq_alg g))
-          in
-          Printf.printf "%-24s %8d %8d %-8s %10.3f" label n
-            (Graphlib.Graph.edge_count g)
-            (Graphlib.Closure.string_of_algorithm seq_alg)
-            seq_s;
-          if not !first_alg then Buffer.add_string buf ",\n";
-          first_alg := false;
-          Buffer.add_string buf
-            (Printf.sprintf
-               "      {\"algorithm\": %S, \"seq_s\": %.6f, \"parallel\": ["
-               (Graphlib.Closure.string_of_algorithm par_alg)
-               seq_s);
-          let first_j = ref true in
-          List.iter
+  let profiles =
+    List.map
+      (fun (profile, profile_scale) ->
+        let tbox =
+          Ontgen.Generator.generate (Ontgen.Generator.scale profile_scale profile)
+        in
+        let g = Quonto.Encoding.graph (Quonto.Encoding.build tbox) in
+        let n = Graphlib.Graph.node_count g in
+        let label =
+          Printf.sprintf "%s x%.2f" profile.Ontgen.Generator.label profile_scale
+        in
+        let reference = Closure_oracle.rows (Graphlib.Closure.compute g) in
+        let inline_s = median_time (fun () -> ignore (Graphlib.Closure.compute g)) in
+        Printf.printf "%-24s %8d %8d %10.3f" label n
+          (Graphlib.Graph.edge_count g) inline_s;
+        let widths =
+          List.map
             (fun (j, pool) ->
-              let par = Graphlib.Closure.compute ~algorithm:par_alg ~pool g in
-              let equal = Graphlib.Closure.equal reference par in
-              let par_s =
-                median_time (fun () ->
-                    ignore (Graphlib.Closure.compute ~algorithm:par_alg ~pool g))
+              let equal =
+                Closure_oracle.equal reference
+                  (Closure_oracle.rows (Graphlib.Closure.compute ~pool g))
               in
-              let speedup = seq_s /. par_s in
-              Printf.printf " %7.3f %4.1fx" par_s speedup;
+              let time_s =
+                median_time (fun () -> ignore (Graphlib.Closure.compute ~pool g))
+              in
+              let speedup = inline_s /. time_s in
+              Printf.printf " %7.3f %4.1fx" time_s speedup;
               if not equal then Printf.printf " [MISMATCH]";
-              if not !first_j then Buffer.add_string buf ", ";
-              first_j := false;
-              Buffer.add_string buf
-                (Printf.sprintf
-                   "{\"jobs\": %d, \"time_s\": %.6f, \"speedup\": %.3f, \"equal\": %b}"
-                   j par_s speedup equal))
-            pools;
-          Buffer.add_string buf "]}";
-          Printf.printf "\n%!")
-        [
-          (Graphlib.Closure.Scc_condense, Graphlib.Closure.Par_scc);
-        ];
-      Buffer.add_string buf "\n    ]}")
-    [
-      (Ontgen.Profiles.dolce, 1.0);
-      (Ontgen.Profiles.transportation, 1.0);
-      (Ontgen.Profiles.galen, scale);
-      (Ontgen.Profiles.fma_2_0, scale);
-    ];
-  Buffer.add_string buf "\n  ]\n}\n";
+              Printf.sprintf
+                "{\"jobs\": %d, \"time_s\": %.6f, \"speedup\": %.3f, \"equal\": %b}" j
+                time_s speedup equal)
+            pools
+        in
+        Printf.printf "\n%!";
+        Printf.sprintf
+          "    {\"profile\": %S, \"nodes\": %d, \"edges\": %d, \"inline_s\": %.6f,\n     \
+           \"pools\": [%s]}"
+          label n (Graphlib.Graph.edge_count g) inline_s (String.concat ", " widths))
+      [
+        (Ontgen.Profiles.dolce, 1.0);
+        (Ontgen.Profiles.transportation, 1.0);
+        (Ontgen.Profiles.galen, scale);
+        (Ontgen.Profiles.fma_2_0, scale);
+      ]
+  in
   let oc = open_out "BENCH_closure.json" in
-  output_string oc (Buffer.contents buf);
+  Printf.fprintf oc
+    "{\n  \"bench\": \"closure-par\",\n  \"scale\": %.4f,\n  \"host_cores\": %d,\n  \
+     \"runs\": %d,\n  \"warmups\": 1,\n  \"profiles\": [\n%s\n  ]\n}\n"
+    scale (Domain.recommended_domain_count ()) runs (String.concat ",\n" profiles);
   close_out oc;
   List.iter (fun (_, pool) -> Parallel.Pool.shutdown pool) pools;
-  Printf.printf "(every parallel closure checked Closure.equal to the sequential \
+  Printf.printf "(every pooled closure checked row for row against the inline \
                  one; table written to BENCH_closure.json)\n\n"
 
 (* ------------------------------------------------------------------ *)
 (* A2: computeUnsat cost vs disjointness density                       *)
 (* ------------------------------------------------------------------ *)
 
-let unsat_ablation () =
-  Printf.printf "== A2: computeUnsat vs disjointness density ==\n";
+let unsat_ablation ~scale () =
+  Printf.printf
+    "== A2: computeUnsat vs disjointness density, and on the Figure-1 profiles \
+     (scale %.3f) ==\n"
+    scale;
   Printf.printf "%-12s %8s %8s %12s %12s %10s\n" "NI density" "axioms" "NIs"
     "closure (s)" "unsat (s)" "unsat preds";
   List.iter
@@ -287,6 +283,24 @@ let unsat_ablation () =
         (List.length (Tbox.negative_inclusions tbox))
         closure_time unsat_time (Quonto.Unsat.count unsat))
     [ 0.0; 0.1; 0.5; 1.0; 2.0 ];
+  (* the Figure-1 profiles at [scale]: the qualified existentials feed
+     computeUnsat's witness rule, the negative inclusions its seeds *)
+  Printf.printf "\n%-16s %8s %10s %6s %12s %12s %10s\n" "profile" "nodes" "qualified"
+    "NIs" "closure (s)" "unsat (s)" "unsat preds";
+  List.iter
+    (fun profile ->
+      let tbox = Ontgen.Generator.generate (Ontgen.Generator.scale scale profile) in
+      let enc = Quonto.Encoding.build tbox in
+      let _, closure_time =
+        timeit (fun () -> ignore (Graphlib.Closure.compute (Quonto.Encoding.graph enc)))
+      in
+      let unsat, unsat_time = timeit (fun () -> Quonto.Unsat.compute enc) in
+      Printf.printf "%-16s %8d %10d %6d %12.4f %12.4f %10d\n%!"
+        profile.Ontgen.Generator.label (Quonto.Encoding.node_count enc)
+        (List.length enc.Quonto.Encoding.qualified_axioms)
+        (List.length (Tbox.negative_inclusions tbox))
+        closure_time unsat_time (Quonto.Unsat.count unsat))
+    Ontgen.Profiles.figure1;
   Printf.printf "\n"
 
 (* ------------------------------------------------------------------ *)
@@ -562,7 +576,8 @@ let rewrite_bench ~module_scale () =
 (* ------------------------------------------------------------------ *)
 
 (* ontology-edit's base TBox (the university TBox plus the Galen module
-   at [module_scale], seed 0x6A1E), from its wire text to the name-level
+   at [module_scale], seed 0x6A1E), from its wire text through
+   classification and its encode/closure/unsat layers to the name-level
    reply and both taxonomies; writes BENCH_classify.json *)
 let classify_bench ~module_scale () =
   let module_tbox =
@@ -579,6 +594,12 @@ let classify_bench ~module_scale () =
   in
   let tbox, parse_ms = time (fun () -> Parser.tbox_of_string_exn text) in
   let cls, classify_ms = time (fun () -> Quonto.Classify.classify tbox) in
+  (* classify's three layers, each timed alone *)
+  let enc, encode_ms = time (fun () -> Quonto.Encoding.build tbox) in
+  let _, closure_ms =
+    time (fun () -> Graphlib.Closure.compute (Quonto.Encoding.graph enc))
+  in
+  let _, unsat_ms = time (fun () -> Quonto.Unsat.compute enc) in
   let pairs, name_level_ms = time (fun () -> Quonto.Classify.name_level cls) in
   let lines, render_ms = time (fun () -> List.map Quonto.Classify.line pairs) in
   let taxonomy sort = time (fun () -> Quonto.Taxonomy.build cls sort) in
@@ -587,7 +608,8 @@ let classify_bench ~module_scale () =
   let signature = Tbox.signature tbox in
   let rows =
     [
-      ("parse", parse_ms); ("classify", classify_ms); ("name_level", name_level_ms);
+      ("parse", parse_ms); ("classify", classify_ms); ("encode", encode_ms);
+      ("closure", closure_ms); ("unsat", unsat_ms); ("name_level", name_level_ms);
       ("render_lines", render_ms); ("taxonomy_concepts", concepts_ms);
       ("taxonomy_roles", roles_ms);
     ]
@@ -1259,12 +1281,9 @@ let micro () =
         Test.make ~name:"classify transportation"
           (Staged.stage (fun () -> ignore (Quonto.Classify.classify transportation)));
         Test.make ~name:"closure scc galen/20"
-          (Staged.stage (fun () ->
-               ignore
-                 (Graphlib.Closure.compute ~algorithm:Graphlib.Closure.Scc_condense g)));
+          (Staged.stage (fun () -> ignore (Graphlib.Closure.compute g)));
         Test.make ~name:"closure dfs galen/20"
-          (Staged.stage (fun () ->
-               ignore (Graphlib.Closure.compute ~algorithm:Graphlib.Closure.Dfs g)));
+          (Staged.stage (fun () -> ignore (Closure_oracle.dfs g)));
         Test.make ~name:"computeUnsat galen/20"
           (Staged.stage (fun () -> ignore (Quonto.Unsat.compute enc)));
       ]
@@ -1723,7 +1742,7 @@ let () =
     | "figure2" -> figure2 ()
     | "closure" -> closure_ablation ()
     | "closure-par" -> closure_par ~scale ~jobs ()
-    | "unsat" -> unsat_ablation ()
+    | "unsat" -> unsat_ablation ~scale ()
     | "implication" -> implication_ablation ()
     | "rewrite" -> rewrite_bench ~module_scale ()
     | "classify" -> classify_bench ~module_scale ()
@@ -1744,7 +1763,7 @@ let () =
     figure1 ~scale ~timeout ();
     closure_ablation ();
     closure_par ~scale ~jobs ();
-    unsat_ablation ();
+    unsat_ablation ~scale ();
     implication_ablation ();
     rewrite_bench ~module_scale ();
     classify_bench ~module_scale ();

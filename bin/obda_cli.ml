@@ -43,19 +43,10 @@ let tbox_arg =
 (* ------------------------------ classify ----------------------------- *)
 
 let classify_cmd =
-  let run path show_equiv algorithm jobs =
+  let run path show_equiv jobs =
     let tbox = load_tbox path in
-    let algorithm =
-      match Graphlib.Closure.algorithm_of_string algorithm with
-      | Some a -> a
-      | None ->
-        Printf.eprintf
-          "unknown algorithm %s (use dfs, warshall, scc or par-scc)\n"
-          algorithm;
-        exit 1
-    in
     let t0 = Unix.gettimeofday () in
-    let cls = Quonto.Classify.classify ~algorithm ?jobs tbox in
+    let cls = Quonto.Classify.classify ~pool:(Parallel.Pool.global ~jobs ()) tbox in
     let elapsed = Unix.gettimeofday () -. t0 in
     let subs = Quonto.Classify.name_level cls in
     List.iter (fun s -> print_endline (Quonto.Classify.line s)) subs;
@@ -72,21 +63,15 @@ let classify_cmd =
   let equiv =
     Arg.(value & flag & info [ "equivalences" ] ~doc:"Also print equivalence classes.")
   in
-  let algorithm =
-    Arg.(value & opt string "scc"
-         & info [ "algorithm" ]
-             ~doc:"Transitive-closure algorithm: dfs, warshall, scc or par-scc.")
-  in
   let jobs =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt int 1
          & info [ "jobs"; "j" ]
-             ~doc:"Domain-pool width for the parallel algorithm (default: the \
-                   host's recommended domain count).  The classification is \
-                   identical at every job count.")
+             ~doc:"Domain-pool width for the transitive closure.  The \
+                   classification is identical at every width.")
   in
   Cmd.v
     (Cmd.info "classify" ~doc:"Classify a DL-Lite ontology with the digraph method.")
-    Term.(const run $ tbox_arg $ equiv $ algorithm $ jobs)
+    Term.(const run $ tbox_arg $ equiv $ jobs)
 
 (* ------------------------------- unsat ------------------------------- *)
 

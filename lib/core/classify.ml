@@ -30,16 +30,15 @@ type t = {
   unsat : Unsat.t;
 }
 
-(** [classify ?algorithm ?jobs tbox] builds the digraph representation,
-    materializes its transitive closure (default algorithm:
-    SCC condensation; [jobs] selects the domain-pool width for the
-    parallel algorithms) and runs [computeUnsat]. *)
-let classify ?algorithm ?jobs tbox =
+(** [classify ?pool tbox] builds the digraph representation,
+    materializes its transitive closure (on [pool] when given, inline
+    otherwise) and runs [computeUnsat]. *)
+let classify ?pool tbox =
   Obs.span "classify" (fun () ->
       let encoding = Obs.span "classify.encode" (fun () -> Encoding.build tbox) in
       let closure =
         Obs.span "classify.closure" (fun () ->
-            Graphlib.Closure.compute ?algorithm ?jobs (Encoding.graph encoding))
+            Graphlib.Closure.compute ?pool (Encoding.graph encoding))
       in
       let unsat = Obs.span "classify.unsat" (fun () -> Unsat.compute encoding) in
       Log.debug (fun m ->

@@ -1,10 +1,19 @@
 (** The [computeUnsat] algorithm (Section 5 of the paper): compute the
     set of unsatisfiable basic concepts, basic roles and attributes of a
-    DL-Lite_R TBox from its digraph representation.
+    DL-Lite_R TBox from its digraph representation, without a closure.
 
-    Seeds — for every syntactic disjointness [S1 ⊑ ¬S2], every node in
-    [predecessors(S1, G) ∩ predecessors(S2, G)] (reflexively: [T ⊨ S ⊑ S])
-    is unsatisfiable.
+    The reflexive ancestor set [anc(S)] of each distinct endpoint [S] of
+    a syntactic disjointness is computed once (one backward search per
+    endpoint); both rules below read those sets.
+
+    Seeds — for every disjointness [S1 ⊑ ¬S2], every node in
+    [anc(S1) ∩ anc(S2)] is unsatisfiable.  Witness rule — for an axiom
+    [B ⊑ ∃Q.A], the created witness carries *both* type sources [A] and
+    [∃Q⁻]; if some disjointness [S1 ⊑ ¬S2] has [A ∈ anc(S1)] and
+    [∃Q⁻ ∈ anc(S2)], or the same with [A] and [∃Q⁻] swapped, the witness
+    is contradictory and [B] is unsatisfiable even though [A] and [∃Q⁻]
+    may each be satisfiable alone (e.g. [∃p⁻ ⊑ ¬C, ∃p⁻ ⊑ ∃p.C]).  With
+    no disjointness, no witness can cross one and the rule is skipped.
 
     The seeds are then propagated to a fixpoint under the rules the paper
     leaves to the refinement step:
@@ -14,12 +23,10 @@
     - an attribute [U] and its domain [δ(U)] are equi-satisfiable;
     - for an axiom [B ⊑ ∃Q.A]: if [A] is unsatisfiable then so is [B]
       (the [Q]-unsatisfiable case follows from the [(B, ∃Q)] arc and the
-      component rule);
-    - for an axiom [B ⊑ ∃Q.A]: the created witness carries *both* type
-      sources [A] and [∃Q⁻]; if some disjointness [S1 ⊑ ¬S2] has [S1]
-      reachable from one source and [S2] from the other, the witness is
-      contradictory and [B] is unsatisfiable even though [A] and [∃Q⁻]
-      may each be satisfiable alone (e.g. [∃p⁻ ⊑ ¬C, ∃p⁻ ⊑ ∃p.C]). *)
+      component rule).  The witness rule runs once, before propagation:
+      the ancestor sets live in the fixed positive graph, and if a
+      witness source *becomes* unsatisfiable later, the predecessor and
+      qualifier rules catch [B] anyway. *)
 
 open Dllite
 
@@ -40,33 +47,34 @@ let compute (enc : Encoding.t) =
       Queue.add v queue
     end
   in
-  (* Seeds: reflexive-ancestor intersections of each disjointness. *)
+  let ancestors = Hashtbl.create 16 in
+  let anc v =
+    match Hashtbl.find_opt ancestors v with
+    | Some a -> a
+    | None ->
+      let a = Graphlib.Graph.ancestors g v in
+      Hashtbl.add ancestors v a;
+      a
+  in
+  let disjoint =
+    List.map (fun (n1, n2) -> (anc n1, anc n2)) enc.Encoding.negative_pairs
+  in
   List.iter
-    (fun (n1, n2) ->
-      let a1 = Graphlib.Graph.ancestors g n1 in
-      let a2 = Graphlib.Graph.ancestors g n2 in
-      Graphlib.Bitvec.iter_set (Graphlib.Bitvec.inter ~a:a1 ~b:a2) mark)
-    enc.Encoding.negative_pairs;
-  (* Witness-inconsistency rule: for each axiom B ⊑ ∃Q.A, check whether
-     the type sources A and ∃Q⁻ of the created witness cross a
-     disjointness.  The descendant sets are static (they live in the
-     fixed positive graph), so this check runs once; if one of the
-     sources *becomes* unsatisfiable later, the predecessor and
-     qualifier rules below catch B anyway. *)
-  List.iter
-    (fun (nb, q, a) ->
-      let na = Encoding.node enc (Syntax.E_concept (Syntax.Atomic a)) in
-      let nrange =
-        Encoding.node enc (Syntax.E_concept (Syntax.Exists (Syntax.role_inverse q)))
-      in
-      let da = Graphlib.Graph.reachable_from g na in
-      let dr = Graphlib.Graph.reachable_from g nrange in
-      let crosses (n1, n2) =
-        (Graphlib.Bitvec.get da n1 && Graphlib.Bitvec.get dr n2)
-        || (Graphlib.Bitvec.get dr n1 && Graphlib.Bitvec.get da n2)
-      in
-      if List.exists crosses enc.Encoding.negative_pairs then mark nb)
-    enc.Encoding.qualified_axioms;
+    (fun (a1, a2) -> Graphlib.Bitvec.iter_set (Graphlib.Bitvec.inter ~a:a1 ~b:a2) mark)
+    disjoint;
+  if disjoint <> [] then
+    List.iter
+      (fun (nb, q, a) ->
+        let na = Encoding.node enc (Syntax.E_concept (Syntax.Atomic a)) in
+        let nrange =
+          Encoding.node enc (Syntax.E_concept (Syntax.Exists (Syntax.role_inverse q)))
+        in
+        let crosses (a1, a2) =
+          (Graphlib.Bitvec.get a1 na && Graphlib.Bitvec.get a2 nrange)
+          || (Graphlib.Bitvec.get a1 nrange && Graphlib.Bitvec.get a2 na)
+        in
+        if List.exists crosses disjoint then mark nb)
+      enc.Encoding.qualified_axioms;
   (* Index qualified axioms by qualifier name for the fourth rule. *)
   let by_qualifier = Hashtbl.create 16 in
   List.iter

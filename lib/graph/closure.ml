@@ -1,52 +1,23 @@
 (** Transitive closure of directed graphs.
 
-    Materializing algorithms — the [algorithm] cases below — compute the
-    same relation (checked extensionally by property tests) but have
-    very different cost profiles, which the ablation benches [A1] and
-    [A8] measure:
+    [compute] is the one materializing closure: Tarjan condensation,
+    then one bottom-up pass over the component DAG unioning descendant
+    bit-sets, then the component rows expanded to node granularity and
+    copied out, one row per node.  Ontology hierarchies are mostly DAGs
+    with a few equivalence cycles, where this beats per-node search and
+    Warshall by a wide margin (ablation [A1]; both survive as test
+    oracles).  The component pass is level-scheduled and both
+    expansions are [Parallel.Pool.parallel_for] loops, so the same code
+    runs across a domain pool or inline ([A8]); every row is a pure
+    function of the input graph and lands in its own slot, so the
+    closure is bit-for-bit the same at every pool width.
 
-    - [Dfs]: one DFS per node, O(V * E).  Simple, good on sparse graphs.
-    - [Warshall]: bit-parallel Warshall, O(V^3 / word).  Good on small
-      dense graphs, hopeless at FMA scale.
-    - [Scc_condense]: Tarjan condensation, then one bottom-up pass over
-      the DAG unioning descendant bit-sets.  The default: ontology
-      hierarchies are mostly DAGs with a few equivalence cycles, where
-      this is the fastest by a wide margin.
-    - [Par_scc]: [Scc_condense] with the component-row expansion
-      level-scheduled across a domain pool (the Tarjan pass itself stays
-      sequential) and the node-row copy-out parallelized.
-
-    The parallel variant produces bit-for-bit the same closure as
-    [Scc_condense] for every job count — each row is a pure function of
-    the input graph and lands in its own slot; see [Parallel.Pool] for
-    the determinism contract.  With one job (or on a single-core host,
-    via [Parallel.Pool.global]) it degrades to the sequential
-    algorithm.
-
-    Separately from the materializing algorithms, the [On_demand]
-    *module* (not an [algorithm] case — it has a different type, carrying
-    a cache instead of a row matrix) does no precomputation at all and
-    memoizes one per-source DFS row per distinct source queried, for
-    workloads that only ask a few reachability questions.
+    The [On_demand] module does no precomputation at all: it memoizes
+    one per-source DFS row per distinct source queried, for workloads
+    that only ask a few reachability questions.
 
     Closures are *reflexive*: every node reaches itself.  This matches
-    the logical reading ([T |= S ⊑ S] always holds) and makes the
-    predecessor sets of [computeUnsat] directly usable. *)
-
-type algorithm = Dfs | Warshall | Scc_condense | Par_scc
-
-let string_of_algorithm = function
-  | Dfs -> "dfs"
-  | Warshall -> "warshall"
-  | Scc_condense -> "scc"
-  | Par_scc -> "par-scc"
-
-let algorithm_of_string = function
-  | "dfs" -> Some Dfs
-  | "warshall" -> Some Warshall
-  | "scc" -> Some Scc_condense
-  | "par-scc" -> Some Par_scc
-  | _ -> None
+    the logical reading ([T |= S ⊑ S] always holds). *)
 
 (** Materialized closure: [rows.(v)] is the reflexive descendant set of
     node [v]. *)
@@ -78,65 +49,20 @@ let ancestors t v =
   done;
   col
 
-let dfs_closure g =
-  let n = Graph.node_count g in
-  let rows = Array.init n (fun v -> Graph.reachable_from g v) in
-  { size = n; rows }
-
-let warshall_closure g =
-  let n = Graph.node_count g in
-  let rows = Array.init n (fun _ -> Bitvec.create n) in
-  for v = 0 to n - 1 do
-    Bitvec.set rows.(v) v;
-    List.iter (fun w -> Bitvec.set rows.(v) w) (Graph.successors g v)
-  done;
-  (* rows.(i) |= rows.(k) whenever i reaches k *)
-  for k = 0 to n - 1 do
-    for i = 0 to n - 1 do
-      if i <> k && Bitvec.get rows.(i) k then
-        ignore (Bitvec.union_into ~src:rows.(k) ~dst:rows.(i))
-    done
-  done;
-  { size = n; rows }
-
-let scc_closure g =
-  let n = Graph.node_count g in
-  let r = Scc.tarjan g in
-  let dag = Scc.condensation g r in
-  (* Tarjan ids are in reverse topological order: successors of a
-     component always have *smaller* ids, so a single ascending pass
-     sees every successor's row fully computed. *)
-  let comp_rows = Array.init r.Scc.count (fun _ -> Bitvec.create r.Scc.count) in
-  for c = 0 to r.Scc.count - 1 do
-    Bitvec.set comp_rows.(c) c;
-    List.iter
-      (fun c' -> ignore (Bitvec.union_into ~src:comp_rows.(c') ~dst:comp_rows.(c)))
-      (Graph.successors dag c)
-  done;
-  (* Expand component reachability back to node granularity. *)
-  let comp_node_rows =
-    Array.init r.Scc.count (fun c ->
-        let row = Bitvec.create n in
-        Bitvec.iter_set comp_rows.(c) (fun c' ->
-            List.iter (fun v -> Bitvec.set row v) r.Scc.members.(c'));
-        row)
-  in
-  let rows =
-    Array.init n (fun v -> Bitvec.copy comp_node_rows.(r.Scc.component.(v)))
-  in
-  { size = n; rows }
-
-let par_scc_closure pool g =
+(** [compute ?pool g] materializes the reflexive transitive closure of
+    [g], on [pool] when given and inline otherwise. *)
+let compute ?pool g =
+  let pool = match pool with Some p -> p | None -> Parallel.Pool.global ~jobs:1 () in
   let n = Graph.node_count g in
   let r = Scc.tarjan g in
   let dag = Scc.condensation g r in
   let nc = r.Scc.count in
-  (* The sequential bottom-up pass is an exact dependency chain on the
-     reverse-topological ids; the parallel version recovers independence
-     by level scheduling: [level.(c)] is the longest path from [c] to a
-     sink, so every successor of [c] sits at a strictly lower level and
-     its row is complete before level [level.(c)] starts.  Within a
-     level no two components touch the same row. *)
+  (* Tarjan ids are in reverse topological order, which makes the
+     bottom-up pass an exact dependency chain; level scheduling recovers
+     independence: [level.(c)] is the longest path from [c] to a sink,
+     so every successor of [c] sits at a strictly lower level and its
+     row is complete before level [level.(c)] starts.  Within a level no
+     two components touch the same row. *)
   let level = Array.make nc 0 in
   let max_level = ref 0 in
   for c = 0 to nc - 1 do
@@ -173,32 +99,6 @@ let par_scc_closure pool g =
   Parallel.Pool.parallel_for pool ~n (fun v ->
       rows.(v) <- Bitvec.copy comp_node_rows.(r.Scc.component.(v)));
   { size = n; rows }
-
-(** [compute ?algorithm ?pool ?jobs g] materializes the reflexive
-    transitive closure of [g].  Default algorithm: [Scc_condense].
-    [Par_scc] runs on [pool] when given, otherwise on the shared
-    [Parallel.Pool.global ?jobs ()] (which is sequential when
-    [jobs <= 1] or the host has one core); [pool]/[jobs] are ignored by
-    the sequential algorithms. *)
-let compute ?(algorithm = Scc_condense) ?pool ?jobs g =
-  let pool () =
-    match pool with Some p -> p | None -> Parallel.Pool.global ?jobs ()
-  in
-  match algorithm with
-  | Dfs -> dfs_closure g
-  | Warshall -> warshall_closure g
-  | Scc_condense -> scc_closure g
-  | Par_scc -> par_scc_closure (pool ()) g
-
-(** [equal a b] is extensional equality of the two closures,
-    short-circuiting on the first differing row. *)
-let equal a b =
-  a.size = b.size
-  &&
-  let rec rows_equal v =
-    v >= a.size || (Bitvec.equal a.rows.(v) b.rows.(v) && rows_equal (v + 1))
-  in
-  rows_equal 0
 
 (** Memoized on-demand reachability: computes and caches one DFS row per
     distinct source actually queried. *)

@@ -115,9 +115,8 @@ let transpose t =
   g
 
 (** [reachable_from t v] is the bit-set of nodes reachable from [v] by a
-    path of length >= 1 ... no: of length >= 0?  We use length >= 0, i.e.
-    [v] itself is always included; callers that need irreflexive
-    reachability must mask the source out. *)
+    path of length >= 0, so [v] itself is always included; callers that
+    need irreflexive reachability must mask the source out. *)
 let reachable_from t v =
   check_node t v;
   let seen = Bitvec.create t.node_count in

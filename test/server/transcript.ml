@@ -157,6 +157,9 @@ let () =
   (match Server.Client.request conn2 Server.Wire.Quit with
    | Result.Ok _ | Result.Error _ -> ());
   Server.Client.close conn2;
+  (* the clients see QUIT answered before the executor retires its task:
+     wait for quiescence so the in-flight count below is deterministic *)
+  Parallel.Executor.drain (Server.Serve.executor srv);
   let drained = Server.Serve.stop srv in
   Printf.printf "--- server stopped gracefully, drained %d in-flight\n" drained;
   (try Unix.unlink sock_path with Unix.Unix_error _ -> ())

@@ -447,18 +447,55 @@ let prop_implication_matches_oracle =
           let expected = Oracle.entails o query in
           Deductive.entails d query = expected && Implication.entails i query = expected))
 
+(* the closure's pool width is the one remaining closure choice: the
+   classification inline and on pools of width 1, 2 and 4 must agree *)
+let classify_pools =
+  lazy (List.map (fun j -> Parallel.Pool.create ~jobs:j ()) [ 1; 2; 4 ])
+
 let prop_closure_algorithms_agree_on_classification =
   QCheck.Test.make ~count:100 ~name:"classification independent of closure algorithm"
     Ontgen.Qgen.arbitrary_tbox (fun axioms ->
       let t = Ontgen.Qgen.tbox_of_axioms axioms in
-      let c1 = Classify.classify ~algorithm:Graphlib.Closure.Dfs t in
-      let c2 = Classify.classify ~algorithm:Graphlib.Closure.Warshall t in
-      let c3 = Classify.classify ~algorithm:Graphlib.Closure.Scc_condense t in
-      let c4 = Classify.classify ~algorithm:Graphlib.Closure.Par_scc ~jobs:4 t in
-      Classify.name_level c1 = Classify.name_level c2
-      && Classify.name_level c2 = Classify.name_level c3
-      && Classify.name_level c3 = Classify.name_level c4
-      && Classify.equivalence_classes c1 = Classify.equivalence_classes c4)
+      let inline = Classify.classify t in
+      List.for_all
+        (fun pool ->
+          let c = Classify.classify ~pool t in
+          Classify.name_level c = Classify.name_level inline
+          && Classify.equivalence_classes c = Classify.equivalence_classes inline)
+        (Lazy.force classify_pools))
+
+(* Casegen TBoxes with a crossing witness seeded in: [B ⊑ ∃q.A] beside
+   a disjointness between [A] and [∃q⁻], in either orientation (the
+   shape of [∃p⁻ ⊑ ¬C, ∃p⁻ ⊑ ∃p.C]); the generated axioms alone rarely
+   make a witness cross a disjointness *)
+let crossing_tbox seed =
+  let rng = Ontgen.Rng.create seed in
+  let base = Ontgen.Casegen.tbox rng in
+  let q = Ontgen.Casegen.gen_role rng in
+  let a = Ontgen.Rng.pick rng Ontgen.Casegen.concept_pool in
+  let range = Syntax.Exists (Syntax.role_inverse q) in
+  let disjoint =
+    if Ontgen.Rng.bool rng 0.5 then
+      Syntax.Concept_incl (range, Syntax.C_neg (Syntax.Atomic a))
+    else Syntax.Concept_incl (Syntax.Atomic a, Syntax.C_neg range)
+  in
+  let witness =
+    Syntax.Concept_incl (Ontgen.Casegen.gen_basic rng, Syntax.C_exists_qual (q, a))
+  in
+  Ontgen.Qgen.tbox_of_axioms (disjoint :: witness :: Tbox.axioms base)
+
+let prop_unsat_matches_reference =
+  QCheck.Test.make ~count:1000 ~name:"Unsat.compute = reference"
+    (QCheck.make
+       ~print:(fun seed ->
+         String.concat "\n"
+           (List.map Syntax.axiom_to_string (Tbox.axioms (crossing_tbox seed))))
+       QCheck.Gen.(int_bound 1_000_000_000))
+    (fun seed ->
+      let enc = Quonto.Encoding.build (crossing_tbox seed) in
+      let unsat = Unsat.compute enc in
+      Array.init (Quonto.Encoding.node_count enc) (Unsat.is_unsat_node unsat)
+      = Unsat_reference.compute enc)
 
 let prop_deductive_closure_sound =
   QCheck.Test.make ~count:80 ~name:"deductive closure sound vs oracle"
@@ -527,6 +564,7 @@ let () =
             prop_unsat_matches_oracle;
             prop_implication_matches_oracle;
             prop_closure_algorithms_agree_on_classification;
+            prop_unsat_matches_reference;
             prop_name_level_definitional;
             prop_deductive_closure_sound;
           ] );

@@ -1,6 +1,6 @@
 (* Unit and property tests for the graph substrate: bit vectors, digraph
-   operations, SCC, agreement of the transitive-closure algorithms, and
-   the domain pool underneath the parallel closures. *)
+   operations, SCC, the transitive closure against its DFS and Warshall
+   oracles at every pool width, and the domain pool underneath. *)
 
 module Bitvec = Graphlib.Bitvec
 module Graph = Graphlib.Graph
@@ -169,14 +169,12 @@ let test_condensation () =
 
 (* ------------------------------ closure ------------------------------ *)
 
+(* the closure inline and on pools of width 1, 2 and 4 *)
 let closure_cases g =
-  let pool = List.assoc 4 (Lazy.force test_pools) in
-  [
-    Closure.compute ~algorithm:Closure.Dfs g;
-    Closure.compute ~algorithm:Closure.Warshall g;
-    Closure.compute ~algorithm:Closure.Scc_condense g;
-    Closure.compute ~algorithm:Closure.Par_scc ~pool g;
-  ]
+  Closure.compute g
+  :: List.filter_map
+       (fun (j, pool) -> if j <= 4 then Some (Closure.compute ~pool g) else None)
+       (Lazy.force test_pools)
 
 let test_closure_simple () =
   let g = Graph.create ~initial_nodes:4 () in
@@ -211,6 +209,20 @@ let test_closure_ancestors () =
     (Bitvec.to_list (Closure.ancestors c 3));
   Alcotest.(check (list int)) "descendants of 0" [ 0; 2; 3 ]
     (Bitvec.to_list (Closure.descendants c 0))
+
+(* the closure of a 1.9k-axiom Galen-profile digraph, inline and on a
+   two-domain pool, row for row against the DFS oracle *)
+let test_closure_galen () =
+  let tbox =
+    Ontgen.Generator.generate (Ontgen.Generator.scale 0.02 Ontgen.Profiles.galen)
+  in
+  let g = Quonto.Encoding.graph (Quonto.Encoding.build tbox) in
+  let dfs = Closure_oracle.dfs g in
+  let pool = List.assoc 2 (Lazy.force test_pools) in
+  Alcotest.(check bool) "inline = dfs" true
+    (Closure_oracle.equal dfs (Closure_oracle.rows (Closure.compute g)));
+  Alcotest.(check bool) "width 2 = dfs" true
+    (Closure_oracle.equal dfs (Closure_oracle.rows (Closure.compute ~pool g)))
 
 let test_on_demand () =
   let g = Graph.create ~initial_nodes:4 () in
@@ -393,20 +405,23 @@ let prop_closure_agree =
   QCheck.Test.make ~count:300 ~name:"closure algorithms agree" arbitrary_graph
     (fun spec ->
       let g = build_graph spec in
-      let dfs = Closure.compute ~algorithm:Closure.Dfs g in
-      let warshall = Closure.compute ~algorithm:Closure.Warshall g in
-      let scc = Closure.compute ~algorithm:Closure.Scc_condense g in
-      Closure.equal dfs warshall && Closure.equal dfs scc)
+      let dfs = Closure_oracle.dfs g in
+      Closure_oracle.equal dfs (Closure_oracle.warshall g)
+      && List.for_all
+           (fun c -> Closure_oracle.equal dfs (Closure_oracle.rows c))
+           (closure_cases g))
 
+(* the inline closure is the sequential Tarjan condensation (the former
+   [Scc_condense]); its pool runs must match it row for row *)
 let prop_parallel_closure_agree =
   QCheck.Test.make ~count:150
     ~name:"parallel closures equal Scc_condense at jobs 1/2/4/8" arbitrary_graph
     (fun spec ->
       let g = build_graph spec in
-      let reference = Closure.compute ~algorithm:Closure.Scc_condense g in
+      let reference = Closure_oracle.rows (Closure.compute g) in
       List.for_all
         (fun (_, pool) ->
-          Closure.equal reference (Closure.compute ~algorithm:Closure.Par_scc ~pool g))
+          Closure_oracle.equal reference (Closure_oracle.rows (Closure.compute ~pool g)))
         (Lazy.force test_pools))
 
 let prop_closure_transitive =
@@ -486,6 +501,7 @@ let () =
           Alcotest.test_case "cycle" `Quick test_closure_cycle;
           Alcotest.test_case "ancestors" `Quick test_closure_ancestors;
           Alcotest.test_case "on-demand" `Quick test_on_demand;
+          Alcotest.test_case "galen x0.02 = dfs oracle" `Quick test_closure_galen;
         ] );
       ( "pool",
         [

@@ -612,6 +612,50 @@ let test_lru_obs_registration () =
   Alcotest.(check int) "unregister removes all series" 0
     (List.length (Obs.Registry.samples r))
 
+(* [Serve.stop] counts a task still running when the drain begins.  One
+   worker holds a task until admissions are closed; the probes that
+   detect the closing (the queue is unbounded, so only closing refuses
+   one) were all admitted behind it, so each is still queued at that
+   moment and counted too *)
+let test_stop_counts_running () =
+  let srv =
+    Server.Serve.create
+      ~config:{ Server.Serve.default_config with workers = 1; queue_capacity = max_int }
+      (Service.create ())
+  in
+  Server.Serve.start srv;
+  let exec = Server.Serve.executor srv in
+  let m = Mutex.create () and c = Condition.create () in
+  let started = ref false and release = ref false in
+  let set flag =
+    Mutex.lock m;
+    flag := true;
+    Condition.broadcast c;
+    Mutex.unlock m
+  in
+  let wait_for flag =
+    Mutex.lock m;
+    while not !flag do
+      Condition.wait c m
+    done;
+    Mutex.unlock m
+  in
+  Alcotest.(check bool) "held task admitted" true
+    (Parallel.Executor.try_submit exec (fun () ->
+         set started;
+         wait_for release));
+  wait_for started;
+  let drained = ref (-1) in
+  let stopper = Thread.create (fun () -> drained := Server.Serve.stop srv) () in
+  let probes = ref 0 in
+  while Parallel.Executor.try_submit exec ignore do
+    incr probes;
+    Thread.yield ()
+  done;
+  set release;
+  Thread.join stopper;
+  Alcotest.(check int) "held task and queued probes counted" (1 + !probes) !drained
+
 (* the versioned STATS schema round-trips through a real loopback
    server and the typed [Client.stats] accessor *)
 let test_loopback_client_stats () =
@@ -840,6 +884,8 @@ let () =
             test_lru_obs_registration;
           Alcotest.test_case "versioned STATS round-trip" `Quick
             test_loopback_client_stats;
+          Alcotest.test_case "stop counts a running task" `Quick
+            test_stop_counts_running;
         ] );
       ( "invalidation-property",
         List.map
