@@ -484,7 +484,7 @@ let rewrite_galen ~module_scale =
             let unfolded = Obda.Mapping.unfold_ucq mappings saturated in
             let (kept, parent), parent_ms =
               best_ms (fun () ->
-                  let kept, _ = R.apply prepared [ q ] in
+                  let kept = Obda.Cq.minimize_ucq (fst (R.expand prepared [ q ])) in
                   (kept, Obda.Cq.minimize_ucq (Obda.Mapping.unfold_ucq mappings kept)))
             in
             let compiled, compile_ms = best_ms compile in

@@ -3,8 +3,8 @@
 
     Four classification subjects (the digraph classifier, the naive
     saturation baseline, the consequence-based simulation, the ALCHI
-    tableau oracle), two KB-consistency subjects (rewritten violation
-    queries vs. the chase) and six certain-answer subjects (PerfectRef
+    tableau oracle), two KB-consistency subjects ([Engine.consistent]'s
+    compiled violation queries vs. the chase) and six certain-answer subjects (PerfectRef
     and Presto compiled to SQL, the bounded chase, the naive and
     cost-based/indexed Cq evaluators over the same rewriting, and the
     cached serving path).
@@ -144,9 +144,7 @@ let rewrite_consistency =
     c_name = "rewrite-consistency";
     consistent =
       (fun tbox abox ->
-        verdict_of_bool
-          (Obda.Consistency.consistent tbox
-             ~source:(Obda.Database.source (Obda.Vabox.database_of_abox abox))));
+        verdict_of_bool (Obda.Engine.consistent (Obda.Engine.of_abox tbox abox)));
   }
 
 let chase_consistency =

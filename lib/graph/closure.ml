@@ -2,13 +2,13 @@
 
     [compute] is the one materializing closure: Tarjan condensation,
     then one bottom-up pass over the component DAG unioning descendant
-    bit-sets, then the component rows expanded to node granularity and
-    copied out, one row per node.  Ontology hierarchies are mostly DAGs
-    with a few equivalence cycles, where this beats per-node search and
-    Warshall by a wide margin (ablation [A1]; both survive as test
-    oracles).  The component pass is level-scheduled and both
-    expansions are [Parallel.Pool.parallel_for] loops, so the same code
-    runs across a domain pool or inline ([A8]); every row is a pure
+    bit-sets, then the component rows expanded to node granularity, one
+    row per component that all its members share.  Ontology hierarchies
+    are mostly DAGs with a few equivalence cycles, where this beats
+    per-node search and Warshall by a wide margin (ablation [A1]; both
+    survive as test oracles).  The component pass is level-scheduled and
+    the expansion is a [Parallel.Pool.parallel_for] loop, so the same
+    code runs across a domain pool or inline ([A8]); every row is a pure
     function of the input graph and lands in its own slot, so the
     closure is bit-for-bit the same at every pool width.
 
@@ -20,7 +20,7 @@
     the logical reading ([T |= S ⊑ S] always holds). *)
 
 (** Materialized closure: [rows.(v)] is the reflexive descendant set of
-    node [v]. *)
+    node [v], physically shared by every member of [v]'s component. *)
 type t = {
   size : int;
   rows : Bitvec.t array;
@@ -34,7 +34,8 @@ let reaches t u v =
     invalid_arg "Closure.reaches";
   Bitvec.get t.rows.(u) v
 
-(** [descendants t v] is the reflexive descendant set of [v]. *)
+(** [descendants t v] is the reflexive descendant set of [v] — shared
+    with the other members of [v]'s component, do not mutate. *)
 let descendants t v =
   if v < 0 || v >= t.size then invalid_arg "Closure.descendants";
   t.rows.(v)
@@ -88,17 +89,14 @@ let compute ?pool g =
             (Graph.successors dag c)))
     buckets;
   (* Expand component reachability back to node granularity, one task
-     per component, then copy rows out, one task per node. *)
+     per component; the members of a component share its row. *)
   let comp_node_rows = Array.make nc (Bitvec.create 0) in
   Parallel.Pool.parallel_for pool ~n:nc (fun c ->
       let row = Bitvec.create n in
       Bitvec.iter_set comp_rows.(c) (fun c' ->
           List.iter (fun v -> Bitvec.set row v) r.Scc.members.(c'));
       comp_node_rows.(c) <- row);
-  let rows = Array.make n (Bitvec.create 0) in
-  Parallel.Pool.parallel_for pool ~n (fun v ->
-      rows.(v) <- Bitvec.copy comp_node_rows.(r.Scc.component.(v)));
-  { size = n; rows }
+  { size = n; rows = Array.init n (fun v -> comp_node_rows.(r.Scc.component.(v))) }
 
 (** Memoized on-demand reachability: computes and caches one DFS row per
     distinct source actually queried. *)

@@ -11,17 +11,17 @@ val size : t -> int
 
 (** [compute ?pool g] materializes the reflexive transitive closure of
     [g]: Tarjan condensation, a level-scheduled pass over the component
-    DAG, and one row copied out per node.  The pass and the copy-out run
-    on [pool] when given and inline otherwise; the closure is identical
-    at every pool width. *)
+    DAG, and one node-level row per component, shared by its members.
+    The pass and the expansion run on [pool] when given and inline
+    otherwise; the closure is identical at every pool width. *)
 val compute : ?pool:Parallel.Pool.t -> Graph.t -> t
 
 (** [reaches t u v] is [true] iff [v] is a (reflexive) descendant of
     [u]. *)
 val reaches : t -> int -> int -> bool
 
-(** [descendants t v] is the reflexive descendant set of [v] — shared,
-    do not mutate. *)
+(** [descendants t v] is the reflexive descendant set of [v] — shared
+    with the other members of [v]'s component, do not mutate. *)
 val descendants : t -> int -> Bitvec.t
 
 (** [ancestors t v] is a freshly computed reflexive ancestor set of

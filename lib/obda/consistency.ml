@@ -1,8 +1,10 @@
 (** KB consistency checking, Mastro-style: every (told) negative
-    inclusion is compiled into a boolean "violation query", the query is
-    rewritten with PerfectRef so that inferred memberships are taken
-    into account, and the rewriting is evaluated over the data.  The KB
-    is inconsistent iff some violation query fires.
+    inclusion is compiled into a boolean "violation query"; answered
+    like any other query (rewritten with PerfectRef so that inferred
+    memberships are taken into account, unfolded through the mappings
+    and evaluated over the sources — [Engine.violations]), it fires iff
+    the KB violates the inclusion.  This module holds the query builders
+    and the report type.
 
     Told negative inclusions suffice: every *entailed* disjointness is a
     told one preceded by positive-inclusion chains (see
@@ -55,42 +57,6 @@ type violation = {
   witnesses : string list;     (** *named* individuals witnessing it;
                                    may be empty when the witness is an
                                    anonymous (existentially implied)
-                                   object *)
+                                   object, or a constant of a mapping
+                                   head *)
 }
-
-(** [check ?rewrite tbox ~source] evaluates every rewritten violation
-    query over [source]; returns all violations ([] =
-    consistent).  [?rewrite] lets a long-running engine supply a shared
-    prepared rewriter ([Rewrite.apply prepared]) instead of the default,
-    which re-normalizes and re-indexes [tbox] for every negative
-    inclusion. *)
-let check ?rewrite tbox ~source =
-  let rewrite =
-    match rewrite with
-    | Some f -> f
-    | None -> fun ucq -> fst (Rewrite.perfect_ref tbox ucq)
-  in
-  List.filter_map
-    (fun ax ->
-      match violation_query ax with
-      | None -> None
-      | Some q ->
-        let rewritten = rewrite [ q ] in
-        let answers = Cq.evaluate_ucq ~source rewritten in
-        if answers = [] then None
-        else begin
-          let witnesses =
-            match witness_query ax with
-            | None -> []
-            | Some wq ->
-              let rewritten = rewrite [ wq ] in
-              List.sort_uniq compare
-                (List.concat (Cq.evaluate_ucq ~source rewritten))
-          in
-          Some { axiom = ax; witnesses }
-        end)
-    (Tbox.negative_inclusions tbox)
-
-(** [consistent ?rewrite tbox ~source] — [true] iff no violation query
-    fires. *)
-let consistent ?rewrite tbox ~source = check ?rewrite tbox ~source = []

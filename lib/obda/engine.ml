@@ -16,14 +16,15 @@
     materialized-ABox engine ([of_abox]) has no mapping layer; its
     compile minimizes the saturation itself.
 
+    The consistency check is a client of the same pipeline: it answers
+    one violation query per negative inclusion with [certain_answers],
+    over the sources.  Nothing here materializes the virtual ABox.
+
     An engine amortizes its TBox-level work: the classification and the
     prepared PerfectRef rule base (normalization + rule indexing) are
-    computed lazily, once, and shared by every subsequent call — in
-    particular the consistency check, which rewrites one violation query
-    per negative inclusion, no longer re-prepares the TBox for each.
-    The classification-aided rule base ([Rewrite.presto_ref]) is a
-    reference implementation for tests and benches, not a serving
-    mode. *)
+    computed lazily, once, and shared by every subsequent call.  The
+    classification-aided rule base ([Rewrite.presto_ref]) is a reference
+    implementation for tests and benches, not a serving mode. *)
 
 open Dllite
 
@@ -41,7 +42,7 @@ type t = {
   cls : Quonto.Classify.t Lazy.t;
       (* the shared classification: forced at most once per engine *)
   prepared : Rewrite.prepared Lazy.t;
-      (* the PerfectRef rule base, shared by compiling and consistency *)
+      (* the PerfectRef rule base, shared by every compile *)
 }
 
 (** [create ?constraints ~tbox ~mappings ~database ()] assembles a
@@ -70,14 +71,6 @@ let of_abox tbox abox =
 let tbox t = t.tbox
 let mappings t = t.mappings
 let database t = t.database
-
-(** [ontology_facts t] is the database seen at the ontology level:
-    the mappings' materialized ABox when mappings are present, the
-    engine's own database otherwise (the [of_abox] case loads ontology
-    predicates into it under their [Vabox] names). *)
-let ontology_facts t =
-  if t.mappings = [] then t.database
-  else Vabox.database_of_abox (Mapping.materialize t.mappings t.database)
 
 (** [compile t ucq] is the data-independent half of the pipeline, and
     the one place a query becomes a database UCQ: saturate [ucq] under
@@ -130,27 +123,34 @@ let certain_answers t q = evaluate_compiled t (compile t [ q ])
 (** [certain_answers_ucq t ucq] — same for a union query. *)
 let certain_answers_ucq t ucq = evaluate_compiled t (compile t ucq)
 
-(* the shared rewriter handed to [Consistency]: violation queries go
-   through the same prepared rule base as user queries *)
-let shared_rewrite t ucq = fst (Rewrite.apply (Lazy.force t.prepared) ucq)
-
-(** [consistent t] — KB consistency via rewritten violation queries,
-    sharing the engine's prepared rule base instead of re-preparing per
-    negative inclusion. *)
-let consistent t =
-  Consistency.consistent ~rewrite:(shared_rewrite t) t.tbox
-    ~source:(Database.source (ontology_facts t))
-
-(** [violations t] — the full violation report. *)
+(** [violations t] — the violation report: every told negative
+    inclusion whose violation query ({!Consistency.violation_query}) has
+    a certain answer, with the named witnesses its witness query finds.
+    [] iff the KB is consistent. *)
 let violations t =
-  Consistency.check ~rewrite:(shared_rewrite t) t.tbox
-    ~source:(Database.source (ontology_facts t))
+  List.filter_map
+    (fun ax ->
+      match Consistency.violation_query ax, Consistency.witness_query ax with
+      | Some q, Some wq when certain_answers t q <> [] ->
+        let witnesses = List.sort_uniq compare (List.concat (certain_answers t wq)) in
+        Some { Consistency.axiom = ax; witnesses }
+      | _ -> None)
+    (Tbox.negative_inclusions t.tbox)
+
+(** [consistent t] — KB consistency: no violation query fires. *)
+let consistent t = violations t = []
 
 (** [integrity_violations t] — functionality / identification
     violations over the retrieved facts (empty when no constraints are
-    installed). *)
+    installed).  Integrity is epistemic, so each constrained relation is
+    read as the mappings retrieve it ({!Mapping.rows}), unsaturated; an
+    engine without mappings reads its own database. *)
 let integrity_violations t =
-  Integrity.check ~facts:(Database.facts (ontology_facts t)) t.constraints
+  let facts pred =
+    if t.mappings = [] then Database.facts t.database pred
+    else Mapping.rows t.mappings t.database pred
+  in
+  Integrity.check ~facts t.constraints
 
 (** [classification t] — intensional service pass-through: the ontology
     engineer's design-quality check runs on the same system handle,

@@ -10,7 +10,10 @@
     - [unfold]: rewrite an ontology-level UCQ into a database-level UCQ
       (virtual ABox, the production OBDA path);
     - [materialize]: evaluate every mapping and produce the ABox
-      explicitly (useful for debugging and for the chase oracle). *)
+      explicitly (useful for debugging and for the chase oracle).
+
+    [rows] reads one relation of the virtual ABox without building the
+    rest: the integrity check's view of the retrieved facts. *)
 
 open Dllite
 
@@ -65,11 +68,13 @@ let target_args = function
 (* Unfolding                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let fresh_counter = ref 0
-
-let rename_apart q =
-  incr fresh_counter;
-  let tag = Printf.sprintf "m%d_" !fresh_counter in
+(* [rename_apart counter q] renames every variable of [q] with a tag
+   drawn from [counter], which is local to one [unfold] call: tags are
+   distinct within one unfolding, and an unfolding does not depend on
+   what was unfolded before it or on another domain. *)
+let rename_apart counter q =
+  incr counter;
+  let tag = Printf.sprintf "m%d_" !counter in
   let subst =
     List.fold_left
       (fun s v -> Cq.Subst.add v (Cq.Var (tag ^ v)) s)
@@ -81,15 +86,18 @@ let rename_apart q =
     database-level UCQ: every ontology atom is replaced by the source
     query of a matching mapping (one disjunct per combination).  Atoms
     with no matching mapping kill their disjunct (they can never be
-    satisfied by the virtual ABox). *)
+    satisfied by the virtual ABox).  A disjunct in which a head constant
+    binds an answer variable is dropped too: a CQ has no way to answer a
+    constant. *)
 let unfold (mappings : t) (q : Cq.t) : Cq.ucq =
+  let counter = ref 0 in
   (* per ontology atom: the list of (renamed source body, unifier) *)
   let expansions_of atom =
     List.filter_map
       (fun m ->
         if target_pred m.target <> atom.Cq.pred then None
         else begin
-          let renamed_source, rename = rename_apart m.source in
+          let renamed_source, rename = rename_apart counter m.source in
           let head_args = List.map rename (target_args m.target) in
           if List.length head_args <> List.length atom.Cq.args then None
           else
@@ -113,25 +121,28 @@ let unfold (mappings : t) (q : Cq.t) : Cq.ucq =
             match go Cq.Subst.empty (List.combine head_args atom.Cq.args) with
             | None -> None
             | Some subst ->
-              (* [subst] maps renamed head variables to query terms; it
-                 may also map query variables to constants (reverse
-                 bindings recorded by flipping the pair) *)
+              (* [subst] maps renamed head variables to query terms and
+                 may map query variables to constants (reverse bindings
+                 recorded by flipping the pair); one step closes it,
+                 since a query variable only ever maps to a constant *)
+              let subst = Cq.Subst.map (Cq.apply_term subst) subst in
               Some (List.map (Cq.apply_atom subst) renamed_source.Cq.body, subst)
         end)
       mappings
   in
-  let rec expand body =
+  (* [prefix] holds the database atoms chosen so far, reversed; an
+     expansion's reverse bindings apply to it as well as to the atoms
+     still to expand *)
+  let rec expand prefix body =
     match body with
-    | [] -> [ [] ]
-    | atom :: rest ->
-      if Option.is_some (Vabox.split_pred atom.Cq.pred) then
-        List.concat_map
-          (fun (src_atoms, subst) ->
-            (* apply the reverse bindings of this expansion to the rest *)
-            let rest' = List.map (Cq.apply_atom subst) rest in
-            List.map (fun tail -> src_atoms @ tail) (expand rest'))
-          (expansions_of atom)
-      else List.map (fun tail -> atom :: tail) (expand rest)
+    | [] -> [ List.rev prefix ]
+    | atom :: rest when Option.is_some (Vabox.split_pred atom.Cq.pred) ->
+      List.concat_map
+        (fun (src_atoms, subst) ->
+          let bind = List.map (Cq.apply_atom subst) in
+          expand (List.rev_append src_atoms (bind prefix)) (bind rest))
+        (expansions_of atom)
+    | atom :: rest -> expand (atom :: prefix) rest
   in
   List.filter_map
     (fun body ->
@@ -146,7 +157,7 @@ let unfold (mappings : t) (q : Cq.t) : Cq.ucq =
           q.Cq.answer_vars
       then Some candidate
       else None)
-    (expand q.Cq.body)
+    (expand [] q.Cq.body)
 
 (** [unfold_ucq mappings ucq] unfolds every disjunct.  The result is
     not minimized: [Engine.compile] minimizes once, after unfolding. *)
@@ -156,32 +167,46 @@ let unfold_ucq mappings ucq = List.concat_map (unfold mappings) ucq
 (* Materialization                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(** [retrieve db m] — the rows mapping [m] retrieves from [db]: its
+    source query evaluated and projected through the head template, one
+    row of [target_pred m.target] per tuple. *)
+let retrieve db m =
+  let needed_vars =
+    List.filter_map
+      (function Cq.Var v -> Some v | Cq.Const _ -> None)
+      (target_args m.target)
+    |> List.sort_uniq compare
+  in
+  let proj = { m.source with Cq.answer_vars = needed_vars } in
+  List.map
+    (fun tuple ->
+      let env = List.combine needed_vars tuple in
+      List.map
+        (function Cq.Const c -> c | Cq.Var v -> List.assoc v env)
+        (target_args m.target))
+    (Cq.evaluate ~source:(Database.source db) proj)
+
+(** [rows mappings db pred] — the virtual ABox relation [pred]: the rows
+    every mapping onto [pred] retrieves from [db], unsaturated. *)
+let rows mappings db pred =
+  List.concat_map
+    (fun m -> if target_pred m.target = pred then retrieve db m else [])
+    mappings
+
 (** [materialize mappings db] evaluates every mapping over [db] and
     collects the resulting ABox (the explicit virtual ABox). *)
 let materialize (mappings : t) db =
   List.fold_left
     (fun abox m ->
-      let needed_vars =
-        List.filter_map
-          (function Cq.Var v -> Some v | Cq.Const _ -> None)
-          (target_args m.target)
-        |> List.sort_uniq compare
-      in
-      let proj = { m.source with Cq.answer_vars = needed_vars } in
-      let tuples = Cq.evaluate ~source:(Database.source db) proj in
       List.fold_left
-        (fun abox tuple ->
-          let env = List.combine needed_vars tuple in
-          let value = function
-            | Cq.Const c -> c
-            | Cq.Var v -> List.assoc v env
-          in
+        (fun abox row ->
           let assertion =
-            match m.target with
-            | Concept_head (a, t) -> Abox.Concept_assert (a, value t)
-            | Role_head (p, t1, t2) -> Abox.Role_assert (p, value t1, value t2)
-            | Attr_head (u, t1, t2) -> Abox.Attr_assert (u, value t1, value t2)
+            match m.target, row with
+            | Concept_head (a, _), [ c ] -> Abox.Concept_assert (a, c)
+            | Role_head (p, _, _), [ c1; c2 ] -> Abox.Role_assert (p, c1, c2)
+            | Attr_head (u, _, _), [ c; v ] -> Abox.Attr_assert (u, c, v)
+            | _ -> invalid_arg "Mapping.materialize: row arity"
           in
           Abox.add assertion abox)
-        abox tuples)
+        abox (retrieve db m))
     Abox.empty mappings

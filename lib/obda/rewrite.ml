@@ -349,10 +349,9 @@ let saturate idx ucq =
 (* ------------------------------------------------------------------ *)
 
 (** A prepared rewriter: the normalization and rule-base indexing of a
-    TBox, computed once and reused across queries.  [perfect_ref] /
-    [presto_ref] re-prepare on every call — fine for one-shot CLI use,
-    wasteful for a long-running engine (the consistency check alone
-    rewrites one violation query per negative inclusion). *)
+    TBox, computed once and reused across queries ([Engine] prepares
+    once per engine).  [perfect_ref] / [presto_ref] re-prepare on every
+    call — fine for one-shot CLI use and the oracles. *)
 type prepared = {
   idx : pi_index;
   name : string;  (** "perfectref" or "presto", for logs and stats *)
@@ -395,10 +394,10 @@ let record prepared stats out =
   (out, { stats with output_size = n })
 
 (** [apply prepared ucq] saturates [ucq] under the prepared rule base
-    and minimizes the result: the ontology-level rewriting, which the
-    consistency check and the one-shot oracles below use.  Query
-    answering goes through [Engine.compile], which minimizes once after
-    unfolding instead. *)
+    and minimizes the result: the ontology-level rewriting of the
+    one-shot oracles below.  Query answering and the consistency check
+    go through [Engine.compile], which minimizes once after unfolding
+    instead. *)
 let apply prepared ucq =
   Obs.span "rewrite" (fun () ->
       let all, stats = expand prepared ucq in

@@ -425,6 +425,67 @@ let test_mapping_unfold_dead_atom () =
   let q = Cq.make [ "x" ] [ Cq.atom (Vabox.concept_pred "Unmapped") [ v "x" ] ] in
   Alcotest.(check int) "no disjuncts" 0 (List.length (Mapping.unfold mappings q))
 
+(* A head constant binds the query variable it meets, in the atoms
+   already unfolded as well as in those still to come: Manager(x) ∧
+   Intern(x) must not hold of ada just because some intern exists. *)
+let test_mapping_unfold_constant_head () =
+  let db = Database.create () in
+  Database.insert_all db "t_emp" [ [ "ada" ] ];
+  Database.insert_all db "t_flag" [ [ "z" ] ];
+  let mappings =
+    [
+      Mapping.make
+        ~source:(Cq.make [ "id" ] [ Cq.atom "t_emp" [ v "id" ] ])
+        ~target:(Mapping.Concept_head ("Manager", v "id"));
+      Mapping.make
+        ~source:(Cq.make [] [ Cq.atom "t_flag" [ v "z" ] ])
+        ~target:(Mapping.Concept_head ("Intern", c "bob"));
+    ]
+  in
+  let both =
+    Cq.make []
+      [
+        Cq.atom (Vabox.concept_pred "Manager") [ v "x" ];
+        Cq.atom (Vabox.concept_pred "Intern") [ v "x" ];
+      ]
+  in
+  let holds () =
+    Cq.evaluate_ucq ~source:(Database.source db) (Mapping.unfold mappings both) <> []
+  in
+  Alcotest.(check bool) "ada is no intern" false (holds ());
+  let sys =
+    Engine.create ~tbox:(parse "Manager [= not Intern") ~mappings ~database:db ()
+  in
+  Alcotest.(check bool) "consistent" true (Engine.consistent sys);
+  Database.insert db "t_emp" [ "bob" ];
+  Alcotest.(check bool) "bob is both" true (holds ());
+  Alcotest.(check bool) "inconsistent" false (Engine.consistent sys)
+
+(* Unfolding draws its fresh-variable tags from a counter of its own:
+   the same UCQ unfolds to the same database UCQ every time, also while
+   another domain unfolds at once. *)
+let test_mapping_unfold_deterministic () =
+  let mappings = university_mappings () in
+  let concept a x = Cq.atom (Vabox.concept_pred a) [ v x ] in
+  let ucq =
+    [
+      Cq.make [ "x" ]
+        [ concept "Employee" "x"; Cq.atom (Vabox.role_pred "worksFor") [ v "x"; v "y" ] ];
+      Cq.make [ "x" ] [ concept "Manager" "x"; concept "Employee" "x" ];
+    ]
+  in
+  let sequential = Mapping.unfold_ucq mappings ucq in
+  Alcotest.(check bool) "repeatable" true (Mapping.unfold_ucq mappings ucq = sequential);
+  let mismatches () =
+    let n = ref 0 in
+    for _ = 1 to 500 do
+      if Mapping.unfold_ucq mappings ucq <> sequential then incr n
+    done;
+    !n
+  in
+  let workers = List.init 2 (fun _ -> Domain.spawn mismatches) in
+  Alcotest.(check (list int)) "no domain disagrees" [ 0; 0 ] (List.map Domain.join workers)
+
 (* ------------------------------- engine ------------------------------ *)
 
 let engine_tbox =
@@ -821,24 +882,38 @@ let gen_source_query answer =
     in
     return (Cq.make answer (body @ cover)))
 
-let gen_mapping =
+(* [gen_mapping_with head_term]: [head_term x] fills the head position
+   of source answer variable [x] *)
+let gen_mapping_with head_term =
   QCheck.Gen.(
-    let binary head = map (fun source -> Mapping.make ~source ~target:head) (gen_source_query [ "x"; "y" ]) in
+    let binary head =
+      let* hx = head_term "x" and* hy = head_term "y" in
+      map (fun source -> Mapping.make ~source ~target:(head hx hy)) (gen_source_query [ "x"; "y" ])
+    in
     frequency
       [
         ( 3,
-          let* a = oneofl Ontgen.Qgen.concept_pool in
+          let* a = oneofl Ontgen.Qgen.concept_pool and* hx = head_term "x" in
           map
             (fun source ->
-              Mapping.make ~source ~target:(Mapping.Concept_head (a, v "x")))
+              Mapping.make ~source ~target:(Mapping.Concept_head (a, hx)))
             (gen_source_query [ "x" ]) );
         ( 3,
           let* p = oneofl Ontgen.Qgen.role_pool in
-          binary (Mapping.Role_head (p, v "x", v "y")) );
+          binary (fun hx hy -> Mapping.Role_head (p, hx, hy)) );
         ( 1,
           let* u = oneofl Ontgen.Qgen.attr_pool in
-          binary (Mapping.Attr_head (u, v "x", v "y")) );
+          binary (fun hx hy -> Mapping.Attr_head (u, hx, hy)) );
       ])
+
+let gen_mapping = gen_mapping_with (fun x -> QCheck.Gen.return (v x))
+
+(* heads that now and then pin a position to a source individual; no
+   answer variable can take such a constant, so only the boolean and
+   epistemic checks below use them *)
+let gen_mapping_constant_heads =
+  gen_mapping_with (fun x ->
+      QCheck.Gen.(frequency [ (3, return (v x)); (1, map c (oneofl source_individuals)) ]))
 
 let gen_source_rows =
   QCheck.Gen.(
@@ -851,7 +926,7 @@ let gen_source_rows =
            (2, map2 (fun a b -> ("s3", [ a; b ])) value value);
          ]))
 
-let arbitrary_mapped_kb =
+let arbitrary_mapped_kb_of gen_mapping =
   QCheck.make
     ~print:(fun (axioms, mappings, rows, q) ->
       Printf.sprintf "TBox:\n%s\nMappings:\n%s\nRows: %s\nQuery: %s"
@@ -873,16 +948,20 @@ let arbitrary_mapped_kb =
         (list_size (int_range 3 8) gen_mapping)
         gen_source_rows gen_query)
 
+let database_of_rows rows =
+  let db = Database.create () in
+  List.iter (fun (rel, row) -> Database.insert db rel row) rows;
+  db
+
 let prop_mapped_answers_agree =
   QCheck.Test.make ~count:300
     ~name:"mapped certain answers = chase over materialization = naive unfolding"
-    arbitrary_mapped_kb (fun (axioms, mappings, rows, q) ->
+    (arbitrary_mapped_kb_of gen_mapping) (fun (axioms, mappings, rows, q) ->
       match q with
       | None -> true
       | Some q ->
         let t = Ontgen.Qgen.tbox_of_axioms (positive_only axioms) in
-        let db = Database.create () in
-        List.iter (fun (rel, row) -> Database.insert db rel row) rows;
+        let db = database_of_rows rows in
         let via_engine =
           sorted_answers
             (Engine.certain_answers (Engine.create ~tbox:t ~mappings ~database:db ()) q)
@@ -903,6 +982,56 @@ let prop_mapped_answers_agree =
         with
         | via_chase -> via_engine = sorted_answers via_chase
         | exception Chase.Overflow -> true)
+
+(* The mapped consistency check compiles each violation query through
+   the mappings; the chase reads the materialized virtual ABox. *)
+let prop_mapped_consistency_matches_chase =
+  QCheck.Test.make ~count:300
+    ~name:"mapped consistency = chase violation over materialization"
+    (arbitrary_mapped_kb_of gen_mapping_constant_heads)
+    (fun (axioms, mappings, rows, _) ->
+      let t = Ontgen.Qgen.tbox_of_axioms axioms in
+      let db = database_of_rows rows in
+      let sys = Engine.create ~tbox:t ~mappings ~database:db () in
+      match Chase.violates_ni t (Mapping.materialize mappings db) with
+      | violated -> Engine.consistent sys = not violated
+      | exception Chase.Overflow -> true)
+
+let gen_constraint =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun q -> Constraints.Funct_role q) Ontgen.Qgen.gen_role);
+        (1, map (fun u -> Constraints.Funct_attr u) (oneofl Ontgen.Qgen.attr_pool));
+        ( 2,
+          map2
+            (fun a paths -> Constraints.Identification (a, paths))
+            (oneofl Ontgen.Qgen.concept_pool)
+            (list_size (int_range 1 2) Ontgen.Qgen.gen_role) );
+      ])
+
+(* Integrity reads each constrained relation as the mappings retrieve
+   it; the reference reads the whole materialized virtual ABox. *)
+let prop_mapped_integrity_matches_materialized =
+  QCheck.Test.make ~count:300
+    ~name:"mapped integrity violations = integrity over materialization"
+    (QCheck.pair
+       (arbitrary_mapped_kb_of gen_mapping_constant_heads)
+       (QCheck.make
+          ~print:(fun cs -> String.concat "; " (List.map Constraints.to_string cs))
+          QCheck.Gen.(list_size (int_range 1 4) gen_constraint)))
+    (fun ((axioms, mappings, rows, _), constraints) ->
+      let t = Ontgen.Qgen.tbox_of_axioms axioms in
+      let constraints =
+        List.filter (fun c -> Constraints.well_formed t [ c ] = []) constraints
+      in
+      let db = database_of_rows rows in
+      let sys = Engine.create ~constraints ~tbox:t ~mappings ~database:db () in
+      let materialized =
+        Database.facts (Vabox.database_of_abox (Mapping.materialize mappings db))
+      in
+      List.sort compare (Engine.integrity_violations sys)
+      = List.sort compare (Obda.Integrity.check ~facts:materialized constraints))
 
 (* ------------- deterministic: a high-band link at Galen scale --------- *)
 
@@ -1003,6 +1132,10 @@ let () =
           Alcotest.test_case "unfold = materialize" `Quick
             test_mapping_unfold_matches_materialize;
           Alcotest.test_case "dead atoms" `Quick test_mapping_unfold_dead_atom;
+          Alcotest.test_case "constant heads bind both ways" `Quick
+            test_mapping_unfold_constant_head;
+          Alcotest.test_case "unfolding is deterministic across domains" `Quick
+            test_mapping_unfold_deterministic;
         ] );
       ( "engine",
         [
@@ -1019,6 +1152,8 @@ let () =
             prop_presto_matches_chase;
             prop_mapped_answers_agree;
             prop_consistency_matches_chase;
+            prop_mapped_consistency_matches_chase;
+            prop_mapped_integrity_matches_materialized;
             prop_indexed_matches_naive;
             prop_index_consistency;
             prop_delta_matches_full;
