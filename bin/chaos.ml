@@ -3,7 +3,9 @@
    [kill -9], or a crash failpoint armed in the durable commit path via
    the FAIL wire verb — then restart on the same directory and check
    that the recovered state answers exactly like the acknowledged
-   prefix of the script.
+   prefix of the script.  Some rounds instead arm an [error] site: the
+   server keeps running but refuses every append from then on, and
+   the refused mutations must not come back after the closing kill.
 
    The oracle is the in-process [Server.Service] this binary links: the
    same wire requests the server acknowledged are replayed into it, and
@@ -46,9 +48,10 @@ let pick rng a = a.(Random.State.int rng (Array.length a))
 
 (* every generated request is valid — the first one is always a TBOX,
    and every payload below parses under any TBOX in the pool.  A
-   refused load is acknowledged but durably a no-op, while the crashed
-   process may have auto-created the session in memory; keeping the
-   script refusal-free keeps "acknowledged prefix" well-defined. *)
+   refused load is durably a no-op, while the crashed process may have
+   auto-created the session in memory; keeping the script refusal-free
+   keeps "acknowledged prefix" well-defined, and leaves an armed error
+   site as the only source of an ERR. *)
 let gen_request rng session =
   match Random.State.int rng 10 with
   | 0 | 1 -> Wire.Load { session; kind = Wire.K_tbox; payload = pick rng tbox_payloads }
@@ -69,10 +72,12 @@ let probes session =
          (fun (name, _) -> Wire.Ask { session; query = Wire.Named name })
          prepare_pool)
 
-(* crash sites in the durable commit path; each round arms one with a
+(* fault sites in the durable commit path; each round arms one with a
    random skip count, so over many rounds every site is hit at every
-   depth of the script *)
-let crash_sites =
+   depth of the script.  An [error] site refuses every append from its
+   firing on (the server answers [ERR wal: ...] and stays up) until the
+   round's closing kill -9: the refused mutations must not come back. *)
+let fault_sites =
   [|
     ("wal.append.before", "crash");
     ("wal.append.write", "partial:5");
@@ -80,6 +85,8 @@ let crash_sites =
     ("wal.append.before_fsync", "crash");
     ("wal.append.after_fsync", "crash");
     ("snapshot.before_rename", "crash");
+    ("wal.append.before_fsync", "error");
+    ("wal.append.after_fsync", "error");
   |]
 
 (* --------------------------- child control --------------------------- *)
@@ -162,6 +169,25 @@ let probe_divergences ~round conn2 oracle oracle_next plist =
     plist;
   !divergences
 
+(* arm one of [sites] over the wire with a random skip count; returns
+   the round's log label *)
+let arm_fault rng conn sites =
+  let site, spec = pick rng sites in
+  let skip = Random.State.int rng 4 in
+  (match
+     Client.request conn
+       (Wire.Fail { name = site; spec = Printf.sprintf "%s@%d" spec skip })
+   with
+  | Result.Ok (Wire.Ok _) -> ()
+  | r ->
+    failwith
+      ("FAIL verb rejected: "
+      ^ (match r with
+        | Result.Ok reply -> string_of_reply reply
+        | Result.Error e -> e)));
+  if spec = "error" then Printf.sprintf "error at %s, then kill -9" site
+  else "failpoint crash"
+
 (* replay acknowledged wire requests into an in-process Service *)
 let build_oracle reqs =
   let s = Service.create ~registry:(Obs.Registry.create ()) () in
@@ -177,24 +203,14 @@ let run_round ~exe ~scratch ~snapshot_every rng round =
   (try Sys.remove sock with Sys_error _ -> ());
   let pid = spawn_server ~exe ~sock ~data_dir ~snapshot_every () in
   let conn = wait_listening sock in
-  (* choose the failure: a crash failpoint armed over the wire, or a
-     plain SIGKILL from outside after a random number of mutations *)
+  (* choose the failure: a fault site armed over the wire, or a plain
+     SIGKILL from outside after a random number of mutations *)
   let script_len = 4 + Random.State.int rng 8 in
-  let sigkill_after =
-    if Random.State.int rng 3 = 0 then Some (Random.State.int rng script_len)
-    else begin
-      let site, spec = pick rng crash_sites in
-      let skip = Random.State.int rng 4 in
-      (match
-         Client.request conn (Wire.Fail { name = site; spec = Printf.sprintf "%s@%d" spec skip })
-       with
-      | Result.Ok (Wire.Ok _) -> ()
-      | r -> failwith ("FAIL verb rejected: " ^
-                       (match r with
-                        | Result.Ok reply -> string_of_reply reply
-                        | Result.Error e -> e)));
-      None
-    end
+  let sigkill_after, fault =
+    if Random.State.int rng 3 = 0 then
+      let k = Random.State.int rng script_len in
+      (Some k, Printf.sprintf "sigkill@%d" k)
+    else (None, arm_fault rng conn fault_sites)
   in
   (* drive the script, tracking what was acknowledged *)
   let acked = ref [] and in_flight = ref None in
@@ -211,11 +227,16 @@ let run_round ~exe ~scratch ~snapshot_every rng round =
        in
        in_flight := Some req;
        match Client.request conn req with
-       | Result.Ok (Wire.Ok _ | Wire.Err _) ->
-         (* a reply — even a refusal — is an acknowledgement *)
+       | Result.Ok (Wire.Ok _) ->
          acked := req :: !acked;
          in_flight := None
-       | Result.Ok Wire.Busy -> in_flight := None
+       | Result.Ok (Wire.Err _ | Wire.Busy) ->
+         (* the scripts are refusal-free, so an ERR is the armed error
+            site refusing the WAL append ([ERR wal: ...]) — or, after a
+            refused TBOX, a load that no longer validates against the
+            session left empty in memory.  Neither was applied, and
+            neither may replay. *)
+         in_flight := None
        | Result.Error _ -> raise Exit
      done
    with Exit -> ());
@@ -242,11 +263,7 @@ let run_round ~exe ~scratch ~snapshot_every rng round =
   Client.close conn2;
   stop_gracefully pid2;
   Printf.printf "round %d: %d/%d acked, %s, %d divergence(s)\n%!" round
-    (List.length acked) script_len
-    (match sigkill_after with
-     | Some k -> Printf.sprintf "sigkill@%d" k
-     | None -> "failpoint crash")
-    divergences;
+    (List.length acked) script_len fault divergences;
   divergences
 
 (* ---------------------- a mid-bulk-stream round ---------------------- *)
@@ -287,24 +304,11 @@ let run_bulk_round ~exe ~scratch ~snapshot_every rng round =
       (1 + Random.State.int rng 3)
       (fun j -> Printf.sprintf "src(\"r%dc%df%d\", \"1\")" round i j)
   in
-  let sigkill_after =
-    if Random.State.int rng 2 = 0 then Some (Random.State.int rng n_chunks)
-    else begin
-      let site, spec = pick rng crash_sites in
-      let skip = Random.State.int rng 4 in
-      (match
-         Client.request conn
-           (Wire.Fail { name = site; spec = Printf.sprintf "%s@%d" spec skip })
-       with
-      | Result.Ok (Wire.Ok _) -> ()
-      | r ->
-        failwith
-          ("FAIL verb rejected: "
-          ^ (match r with
-            | Result.Ok reply -> string_of_reply reply
-            | Result.Error e -> e)));
-      None
-    end
+  let sigkill_after, fault =
+    if Random.State.int rng 2 = 0 then
+      let k = Random.State.int rng n_chunks in
+      (Some k, Printf.sprintf "sigkill@%d" k)
+    else (None, arm_fault rng conn fault_sites)
   in
   let acked = ref [] and in_flight = ref None in
   (try
@@ -315,10 +319,13 @@ let run_bulk_round ~exe ~scratch ~snapshot_every rng round =
        let req = Wire.Bulk_chunk { session; payload = chunk i } in
        in_flight := Some req;
        match Client.request conn req with
-       | Result.Ok (Wire.Ok _ | Wire.Err _) ->
+       | Result.Ok (Wire.Ok _) ->
          acked := req :: !acked;
          in_flight := None
-       | Result.Ok Wire.Busy -> in_flight := None
+       | Result.Ok (Wire.Err _ | Wire.Busy) ->
+         (* an ERR is the armed error site refusing the chunk's WAL
+            append: never applied, so it must never replay *)
+         in_flight := None
        | Result.Error _ -> raise Exit
      done
    with Exit -> ());
@@ -347,11 +354,7 @@ let run_bulk_round ~exe ~scratch ~snapshot_every rng round =
   Client.close conn2;
   stop_gracefully pid2;
   Printf.printf "bulk round %d: %d/%d chunks acked, %s, %d divergence(s)\n%!"
-    round acked_chunks n_chunks
-    (match sigkill_after with
-    | Some k -> Printf.sprintf "sigkill@%d" k
-    | None -> "failpoint crash")
-    divergences;
+    round acked_chunks n_chunks fault divergences;
   divergences
 
 (* --------------------------- cluster rounds --------------------------- *)
@@ -526,19 +529,11 @@ let run_cluster_round ~exe ~scratch ~snapshot_every ~bulk rng round times =
    | Result.Ok (Wire.Ok _) -> ()
    | _ -> failwith "TBOX load failed");
   let script_len = 4 + Random.State.int rng 8 in
-  let sigkill_after =
-    if Random.State.int rng 3 = 0 then Some (Random.State.int rng script_len)
-    else begin
-      let site, spec = pick rng cluster_crash_sites in
-      let skip = Random.State.int rng 4 in
-      (match
-         Client.request conn
-           (Wire.Fail { name = site; spec = Printf.sprintf "%s@%d" spec skip })
-       with
-       | Result.Ok (Wire.Ok _) -> ()
-       | _ -> failwith "FAIL verb rejected");
-      None
-    end
+  let sigkill_after, fault =
+    if Random.State.int rng 3 = 0 then
+      let k = Random.State.int rng script_len in
+      (Some k, Printf.sprintf "sigkill@%d" k)
+    else (None, arm_fault rng conn cluster_crash_sites)
   in
   let chunk i =
     List.init
@@ -652,11 +647,7 @@ let run_cluster_round ~exe ~scratch ~snapshot_every ~bulk rng round times =
     "cluster round %d: %d/%d acked, %s, failover %.3fs, %d divergence(s)\n%!"
     round
     (List.length acked - 1)
-    script_len
-    (match sigkill_after with
-     | Some k -> Printf.sprintf "sigkill@%d" k
-     | None -> "failpoint crash")
-    failover_s divergences;
+    script_len fault failover_s divergences;
   divergences
 
 let run_cluster exe rounds seed snapshot_every bulk keep =

@@ -87,7 +87,12 @@ let () =
 
   (* 5. and use it to answer a query the expressive ontology implies:
      every manager works for something (heads ⊑ worksFor) *)
-  let abox = Parser.parse_abox {| Manager(mia) |} in
+  let abox =
+    Abox.of_list
+      (Obda.Qparse.parse_abox
+         ~signature:(Tbox.signature sem.Approx.Semantic.tbox)
+         {| Manager(mia) |})
+  in
   let system = Obda.Engine.of_abox sem.Approx.Semantic.tbox abox in
   let q =
     Obda.Cq.make [ "x" ]

@@ -70,12 +70,13 @@ let () =
 
   (* 3. query answering over a materialized ABox *)
   let abox =
-    Parser.parse_abox
-      {|
-        Manager(alice)
-        worksFor(bob, acme)
-        attr salary(carol, high)
-      |}
+    Abox.of_list
+      (Obda.Qparse.parse_abox ~signature:(Tbox.signature tbox)
+         {|
+           Manager(alice)
+           worksFor(bob, acme)
+           salary(carol, high)
+         |})
   in
   let system = Obda.Engine.of_abox tbox abox in
   let v x = Obda.Cq.Var x in

@@ -298,28 +298,6 @@ let parse_document source =
     are accepted and dropped; use [parse_document] to keep them). *)
 let parse_tbox source = fst (parse_document source)
 
-(** [parse_abox source] parses assertions, one per line:
-    [A(c)], [P(c1, c2)] (roles), or [U(c, v)] when [U] is not known —
-    role vs attribute is decided by an optional leading [attr] keyword:
-    [attr U(c, v)]. *)
-let parse_abox source =
-  let assertions = ref [] in
-  let lines = String.split_on_char '\n' source in
-  List.iteri
-    (fun idx raw ->
-      let line = idx + 1 in
-      match tokenize_line ~line raw with
-      | [] -> ()
-      | [ Ident a; Lparen; Ident c; Rparen ] ->
-        assertions := Abox.Concept_assert (a, c) :: !assertions
-      | [ Ident p; Lparen; Ident c1; Comma; Ident c2; Rparen ] ->
-        assertions := Abox.Role_assert (p, c1, c2) :: !assertions
-      | [ Kw_attr; Ident u; Lparen; Ident c; Comma; Ident v; Rparen ] ->
-        assertions := Abox.Attr_assert (u, c, v) :: !assertions
-      | _ -> fail line "expected an assertion")
-    lines;
-  Abox.of_list (List.rev !assertions)
-
 (** [tbox_of_string_exn s] is [parse_tbox s]; re-exported under a name
     that signals the exception behaviour. *)
 let tbox_of_string_exn = parse_tbox

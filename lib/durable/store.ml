@@ -17,6 +17,15 @@
     reset is harmless: recovery replays the snapshot and then only WAL
     records with [seq > S].
 
+    Every append — {!append} on a primary, {!append_raw} on a replica —
+    takes one path: a sequence number is assigned under the store lock,
+    then {!Wal.commit} writes and fsyncs it, either at once under the
+    lock (the direct scheduler, the default) or batched with concurrent
+    appends on the group committer's thread ([~group_commit]).  Only
+    the commit notification that follows advances {!last_seq}, the
+    replication fence: a refused append is cut out of the WAL, never
+    replays, and moves no fence.
+
     Recovery ({!open_dir}) refuses loudly on mid-log corruption and on
     any damage to the snapshot (which, being rename-installed, is never
     legitimately torn); a torn WAL tail — the signature of a crashed
@@ -74,29 +83,31 @@ let decode_mutation s =
 
 type t = {
   dir : string;
-  mu : Mutex.t;  (** guards the WAL appender and the counters below *)
+  mu : Mutex.t;
+      (** guards sequence assignment, the snapshot, and the WAL on the
+          direct scheduler *)
   wal : Wal.t;
-  group : Wal.Group.group option;
-      (** when set, appends go through the group committer: sequence
-          numbers are assigned and records enqueued under [mu], but the
-          write+fsync happens on the committer thread, batched with
-          whatever other sessions were appending concurrently *)
+  mutable group : Wal.Group.group option;
+      (** the group scheduler, set once by {!open_dir}: sequence numbers
+          are assigned and records enqueued under [mu], but the commit
+          happens on the committer thread, batched with whatever other
+          sessions were appending concurrently.  [None] is the direct
+          scheduler: the appender commits under [mu] itself. *)
   snapshot_every : int option;
   snapshot_bytes : int option;
   mutable next_seq : int;
-  mutable good_bytes : int;  (** WAL offset after the last committed append *)
-  mutable dirty : bool;      (** a failed append may have left torn bytes *)
-  mutable since_snapshot : int;
-  mutable since_snapshot_bytes : int;
-  mutable snapshotting : bool;
-  observers : (int -> string -> unit) list ref;
-      (** commit observers, fired once per durable record in sequence
-          order: under [mu] on the direct path, on the committer thread
-          (via [Group.on_commit]) under group commit.  The replication
-          hub taps the commit stream here. *)
-  registry : Obs.registry;
-  m_truncations : Obs.Counter.t;
-  m_replayed : Obs.Counter.t;
+      (** the next sequence number to assign; a refused append leaves a
+          gap *)
+  last_seq : int Atomic.t;
+      (** the highest durable sequence number; only {!notify} advances
+          it *)
+  since_snapshot : int Atomic.t;
+  since_snapshot_bytes : int Atomic.t;
+      (** durable WAL records and bytes since the last snapshot, the
+          compaction triggers; {!notify} advances them too *)
+  mutable observers : (int -> string -> unit) list;
+      (** commit observers, fired by {!notify}.  The replication hub
+          taps the commit stream here. *)
   m_snapshots : Obs.Counter.t;
 }
 
@@ -109,7 +120,7 @@ type recovery = {
 }
 
 let dir t = t.dir
-let last_seq t = t.next_seq - 1
+let last_seq t = Atomic.get t.last_seq
 
 let wal_path dir = Filename.concat dir "wal"
 let snapshot_path dir = Filename.concat dir "snapshot"
@@ -148,6 +159,23 @@ let read_snapshot path =
         in
         decode [] records)
 
+(* the commit notification, fired once per durable batch in sequence
+   order — under [mu] on the direct scheduler, on the committer thread
+   on the group one (without [mu]: a quiescing snapshot holds it while
+   it waits the batch out).  [last_seq] and the since-snapshot counts
+   advance here and only here, so a refused append moves neither the
+   replication fence nor the compaction triggers. *)
+let notify t records =
+  List.iter
+    (fun (seq, payload) ->
+      Atomic.set t.last_seq seq;
+      Atomic.incr t.since_snapshot;
+      ignore
+        (Atomic.fetch_and_add t.since_snapshot_bytes
+           (Wal.header_size + String.length payload));
+      List.iter (fun f -> try f seq payload with _ -> ()) t.observers)
+    records
+
 (** [open_dir ?registry ?fsync_on_commit ?group_commit ?snapshot_every
     ?snapshot_bytes dir] — create or recover the store.  On success,
     returns the opened store (WAL truncated past any torn tail, ready
@@ -155,8 +183,8 @@ let read_snapshot path =
     must replay, in order, into a fresh service {e before} attaching
     the store.  [snapshot_every] arms {!want_snapshot} after that many
     WAL appends; [snapshot_bytes] arms it after that many WAL bytes
-    (whichever trigger fires first wins).  [group_commit] routes
-    appends through a dedicated {!Wal.Group} committer that batches
+    (whichever trigger fires first wins).  [group_commit] picks the
+    group scheduler: a dedicated {!Wal.Group} committer batches
     concurrent appends under one fsync — same durability guarantee
     (nothing is acknowledged before its batch is fsync'd), amortized
     cost. *)
@@ -199,9 +227,6 @@ let open_dir ?(registry = Obs.default) ?(fsync_on_commit = true)
           let m_truncations =
             Obs.Registry.counter registry "obda_wal_truncations_total"
           in
-          let m_replayed =
-            Obs.Registry.counter registry "obda_wal_replayed_records_total"
-          in
           if torn_bytes > 0 then begin
             Obs.Counter.incr m_truncations;
             Log.warn (fun m ->
@@ -215,24 +240,9 @@ let open_dir ?(registry = Obs.default) ?(fsync_on_commit = true)
             Wal.open_append ~fsync_on_commit ~registry ~path:(wal_path dir)
               ~valid_bytes ()
           in
-          let observers = ref [] in
-          let notify batch =
-            List.iter
-              (fun (seq, payload) ->
-                List.iter
-                  (fun f -> try f seq payload with _ -> ())
-                  !observers)
-              batch
-          in
-          let group =
-            if group_commit then
-              Some
-                (Wal.Group.start ~registry ~on_commit:notify
-                   ~committed:valid_bytes wal)
-            else None
-          in
           let mutations = snap_mutations @ wal_mutations in
-          Obs.Counter.incr ~by:(List.length mutations) m_replayed;
+          Obs.Counter.incr ~by:(List.length mutations)
+            (Obs.Registry.counter registry "obda_wal_replayed_records_total");
           let seconds = Unix.gettimeofday () -. t0 in
           Obs.Histogram.observe
             (Obs.Registry.histogram registry "obda_recovery_seconds")
@@ -242,22 +252,20 @@ let open_dir ?(registry = Obs.default) ?(fsync_on_commit = true)
               dir;
               mu = Mutex.create ();
               wal;
-              group;
+              group = None;
               snapshot_every;
               snapshot_bytes;
               next_seq = last_wal_seq + 1;
-              good_bytes = valid_bytes;
-              dirty = false;
-              since_snapshot = List.length wal_mutations;
-              since_snapshot_bytes = valid_bytes;
-              snapshotting = false;
-              observers;
-              registry;
-              m_truncations;
-              m_replayed;
+              last_seq = Atomic.make last_wal_seq;
+              since_snapshot = Atomic.make (List.length wal_mutations);
+              since_snapshot_bytes = Atomic.make valid_bytes;
+              observers = [];
               m_snapshots = Obs.Registry.counter registry "obda_snapshots_total";
             }
           in
+          if group_commit then
+            t.group <-
+              Some (Wal.Group.start ~registry ~on_commit:(notify t) wal);
           Result.Ok
             ( t,
               {
@@ -272,172 +280,119 @@ let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-(* a previous append failed mid-record: cut the file back to the last
-   committed offset so the torn bytes can never precede a good record *)
-let repair_locked t =
-  if t.dirty then begin
-    Wal.truncate_to t.wal t.good_bytes;
-    t.dirty <- false
-  end
-
 (** [add_observer t f] — register a commit observer.  [f seq payload]
     fires once per record {e after} it is durable, in sequence order:
-    under the store lock on the direct path, on the committer thread
-    under group commit (before the append's waiter is released, so by
-    the time an acknowledged append returns the record has already been
-    observed). *)
-let add_observer t f = locked t (fun () -> t.observers := !(t.observers) @ [ f ])
+    under the store lock on the direct scheduler, on the committer
+    thread on the group one (before the append's waiter is released, so
+    by the time an acknowledged append returns the record has already
+    been observed). *)
+let add_observer t f = locked t (fun () -> t.observers <- t.observers @ [ f ])
 
-let notify_direct t seq payload =
-  List.iter (fun f -> try f seq payload with _ -> ()) !(t.observers)
-
-(* the shared direct-path body: write one framed record at [seq] and
-   advance the counters; caller holds [t.mu] *)
-let append_direct_locked t ~seq payload =
-  repair_locked t;
-  (try Wal.append t.wal ~seq payload
-   with e ->
-     t.dirty <- true;
-     raise e);
-  t.next_seq <- max t.next_seq (seq + 1);
-  t.good_bytes <- t.good_bytes + Wal.header_size + String.length payload;
-  t.since_snapshot <- t.since_snapshot + 1;
-  t.since_snapshot_bytes <-
-    t.since_snapshot_bytes + Wal.header_size + String.length payload;
-  notify_direct t seq payload
+(* the one append path: sequence assignment under [mu], then the
+   commit — by the caller under [mu] on the direct scheduler, or
+   enqueued under [mu] (so file order matches sequence order) and
+   awaited outside it on the group scheduler, which is what lets
+   concurrent sessions share one fsync.  A refused commit raises and
+   leaves a gap in [next_seq] that [last_seq] never covers; recovery
+   filters on [seq > fence], never on density, and tolerates it. *)
+let append_at t ?seq payload =
+  let seq, ticket =
+    locked t (fun () ->
+        let seq = Option.value seq ~default:t.next_seq in
+        t.next_seq <- max t.next_seq (seq + 1);
+        match t.group with
+        | None ->
+          Wal.commit t.wal [ (seq, payload) ];
+          notify t [ (seq, payload) ];
+          (seq, None)
+        | Some g -> (seq, Some (Wal.Group.enqueue g ~seq payload)))
+  in
+  Option.iter Wal.Group.await ticket;
+  seq
 
 (** [append t m] — assign the next sequence number, frame, write, fsync.
     When this returns, [m] is durable; only then may the caller apply
     and acknowledge it.  Returns the assigned sequence number (the
     replication barrier waits on it).  Raises {!Failpoint.Injected} or
     [Unix.Unix_error] on (injected or real) I/O failure — the mutation
-    must then be rejected, not applied. *)
-let append t m =
-  let payload = encode_mutation m in
-  match t.group with
-  | Some g ->
-    (* group path: assign the sequence number and enqueue atomically
-       under the store lock (so file order matches sequence order),
-       then wait for the batch fsync OUTSIDE the lock — that release
-       is what lets concurrent sessions share one fsync.  Failed
-       batches leave sequence-number gaps, which recovery tolerates
-       (it filters on [seq > fence], never on density). *)
-    let seq, ticket =
-      locked t (fun () ->
-          let seq = t.next_seq in
-          t.next_seq <- seq + 1;
-          t.since_snapshot <- t.since_snapshot + 1;
-          t.since_snapshot_bytes <-
-            t.since_snapshot_bytes + Wal.header_size + String.length payload;
-          (seq, Wal.Group.enqueue g ~seq payload))
-    in
-    Wal.Group.await g ticket;
-    seq
-  | None ->
-    locked t (fun () ->
-        let seq = t.next_seq in
-        append_direct_locked t ~seq payload;
-        seq)
+    must then be rejected, not applied, and it never replays. *)
+let append t m = append_at t (encode_mutation m)
 
 (** [append_raw t ~seq payload] — append an already-encoded record under
     an {e explicit} sequence number: the replica apply path, which must
     preserve the primary's numbering so the replication fence is simply
     {!last_seq} and survives restarts for free.  [seq] must exceed
     {!last_seq} (gaps are fine — the primary's failed appends leave
-    them); a stale or duplicate [seq] is rejected loudly. *)
+    them); a stale or duplicate [seq] is rejected loudly.  A refused
+    append leaves {!last_seq} where it was. *)
 let append_raw t ~seq payload =
   if seq <= last_seq t then
     invalid_arg
       (Printf.sprintf "Store.append_raw: seq %d not beyond last seq %d" seq
          (last_seq t));
-  match t.group with
-  | Some g ->
-    let ticket =
-      locked t (fun () ->
-          t.next_seq <- max t.next_seq (seq + 1);
-          t.since_snapshot <- t.since_snapshot + 1;
-          t.since_snapshot_bytes <-
-            t.since_snapshot_bytes + Wal.header_size + String.length payload;
-          Wal.Group.enqueue g ~seq payload)
-    in
-    Wal.Group.await g ticket
-  | None -> locked t (fun () -> append_direct_locked t ~seq payload)
+  ignore (append_at t ~seq payload)
 
 (** [want_snapshot t] — true once either compaction trigger has fired
     ([snapshot_every] appends, or [snapshot_bytes] WAL bytes, since the
-    last snapshot) and none is currently being written. *)
+    last snapshot). *)
 let want_snapshot t =
   match (t.snapshot_every, t.snapshot_bytes) with
   | None, None -> false
   | every, bytes ->
-    locked t (fun () ->
-        (not t.snapshotting)
-        && ((match every with
-             | Some every -> t.since_snapshot >= every
-             | None -> false)
-            || match bytes with
-               | Some limit -> t.since_snapshot_bytes >= limit
-               | None -> false))
+    (match every with
+     | Some every -> Atomic.get t.since_snapshot >= every
+     | None -> false)
+    || match bytes with
+       | Some limit -> Atomic.get t.since_snapshot_bytes >= limit
+       | None -> false
+
+(* wait out the group committer's queue and in-flight batch: with [mu]
+   held nothing new can be enqueued, so afterwards every assigned
+   sequence number is either durable (at most [last_seq]) or refused,
+   and no batch write can race a [Wal.reset] *)
+let quiesce t = Option.iter Wal.Group.flush t.group
+
+(* install [mutations] as the snapshot at [fence], then empty the WAL;
+   caller holds [mu] and has quiesced *)
+let write_snapshot_locked t ~fence mutations =
+  Failpoint.check "snapshot.before_write";
+  let bytes =
+    Wal.encode_batch
+      ((0, snapshot_header_prefix ^ string_of_int fence)
+      :: List.mapi (fun i m -> (i + 1, encode_mutation m)) mutations)
+  in
+  let tmp = snapshot_tmp_path t.dir in
+  let fd =
+    Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Io.write_all ~failpoint:"snapshot.write" fd bytes ~pos:0
+        ~len:(Bytes.length bytes);
+      Io.fsync ~failpoint:"snapshot.before_fsync" fd);
+  Failpoint.check "snapshot.before_rename";
+  Unix.rename tmp (snapshot_path t.dir);
+  Io.fsync_dir t.dir;
+  Failpoint.check "snapshot.after_rename";
+  Wal.reset t.wal;
+  Atomic.set t.since_snapshot 0;
+  Atomic.set t.since_snapshot_bytes 0;
+  Obs.Counter.incr t.m_snapshots;
+  Log.info (fun m ->
+      m "snapshot: %d record(s) at fence seq %d, wal reset"
+        (List.length mutations) fence)
 
 (** [write_snapshot t mutations] — install [mutations] (a compacted
-    replay of the {e entire} current state, typically produced under
-    every session lock so no append can race) as the new snapshot, then
-    empty the WAL.  Temp-file + [rename] keeps the old snapshot intact
-    up to the atomic switch; the directory is fsync'd so the rename
-    itself survives a crash. *)
-let write_snapshot_locked t ~fence mutations =
-  t.snapshotting <- true;
-  Fun.protect
-    ~finally:(fun () -> t.snapshotting <- false)
-    (fun () ->
-      (* quiesce the group committer before fencing: with the store
-         lock held no new record can be enqueued, and [flush] waits
-         out the in-flight batch — so every sequence number below
-         the fence is either durably in the WAL or failed, and the
-         [Wal.reset] below cannot race a batch write *)
-      (match t.group with
-       | Some g -> Wal.Group.flush g
-       | None -> ());
-      Failpoint.check "snapshot.before_write";
-      let buf = Buffer.create 4096 in
-          let add_record i payload =
-            Buffer.add_bytes buf (Wal.encode ~seq:i payload)
-          in
-          add_record 0 (Printf.sprintf "%s%d" snapshot_header_prefix fence);
-          List.iteri
-            (fun i m -> add_record (i + 1) (encode_mutation m))
-            mutations;
-          let tmp = snapshot_tmp_path t.dir in
-          let fd =
-            Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-          in
-          Fun.protect
-            ~finally:(fun () ->
-              try Unix.close fd with Unix.Unix_error _ -> ())
-            (fun () ->
-              Io.write_all ~failpoint:"snapshot.write" fd (Buffer.to_bytes buf)
-                ~pos:0 ~len:(Buffer.length buf);
-              Io.fsync ~failpoint:"snapshot.before_fsync" fd);
-          Failpoint.check "snapshot.before_rename";
-          Unix.rename tmp (snapshot_path t.dir);
-          Io.fsync_dir t.dir;
-          Failpoint.check "snapshot.after_rename";
-          Wal.reset t.wal;
-          (match t.group with
-           | Some g -> Wal.Group.note_reset g
-           | None -> ());
-          t.good_bytes <- 0;
-          t.dirty <- false;
-          t.since_snapshot <- 0;
-          t.since_snapshot_bytes <- 0;
-          Obs.Counter.incr t.m_snapshots;
-          Log.info (fun m ->
-              m "snapshot: %d record(s) at fence seq %d, wal reset"
-                (List.length mutations) fence))
-
+    replay of the {e entire} durable state, typically produced under
+    every session lock so no append can race) as the new snapshot at
+    fence {!last_seq}, then empty the WAL.  Temp-file + [rename] keeps
+    the old snapshot intact up to the atomic switch; the directory is
+    fsync'd so the rename itself survives a crash. *)
 let write_snapshot t mutations =
   locked t (fun () ->
-      write_snapshot_locked t ~fence:(t.next_seq - 1) mutations)
+      quiesce t;
+      write_snapshot_locked t ~fence:(last_seq t) mutations)
 
 (** [install_snapshot t ~fence mutations] — replace the entire durable
     state with [mutations] compacted at the primary's [fence]: the
@@ -446,8 +401,10 @@ let write_snapshot t mutations =
     the reset; the next {!append_raw} continues from [fence + 1]. *)
 let install_snapshot t ~fence mutations =
   locked t (fun () ->
+      quiesce t;
       write_snapshot_locked t ~fence mutations;
-      t.next_seq <- fence + 1)
+      t.next_seq <- fence + 1;
+      Atomic.set t.last_seq fence)
 
 (** The catch-up plan handed to a freshly subscribed replica. *)
 type tail =
@@ -471,9 +428,7 @@ type tail =
     dedup.  Raises [Failure] if the snapshot is unreadable. *)
 let read_tail t ~fence ~register =
   locked t (fun () ->
-      (match t.group with
-       | Some g -> Wal.Group.flush g
-       | None -> ());
+      quiesce t;
       let snap_fence, state =
         match read_snapshot (snapshot_path t.dir) with
         | Result.Error e -> failwith e
@@ -503,7 +458,5 @@ let read_tail t ~fence ~register =
     closes the log cleanly). *)
 let close t =
   locked t (fun () ->
-      (match t.group with
-       | Some g -> Wal.Group.stop g
-       | None -> ());
+      Option.iter Wal.Group.stop t.group;
       Wal.close t.wal)

@@ -20,13 +20,18 @@
     - a record that doesn't fit in the remaining bytes, or whose CRC
       fails {e at the very tail} of the file, is a {e torn tail} — the
       incomplete leftover of a crashed append.  It and everything after
-      it (there is nothing after it) are dropped; the appender then
-      truncates the file back to the last good record;
+      it (there is nothing after it) are dropped, and reopening the
+      appender truncates the file back to the last good record;
     - a CRC failure with more bytes {e after} the framed record is
       {e mid-log corruption}: bits rotted under an fsync'd prefix.
       That's not a crash artifact, and silently dropping acknowledged
       records would serve divergent answers — so {!scan} refuses loudly
-      with {!Corrupt}. *)
+      with {!Corrupt}.
+
+    Writing has one path, {!commit}: direct callers and the {!Group}
+    committer alike append a batch of records with one write and one
+    fsync, and a refused commit cuts the file back to the last durable
+    record before the error surfaces. *)
 
 type entry = { seq : int; payload : string }
 
@@ -44,20 +49,32 @@ let header_size = 16
 
 let u32_at bytes off = Int32.to_int (Bytes.get_int32_be bytes off) land 0xFFFFFFFF
 
-let encode ~seq payload =
+(* frame one record into [buf] at [off]; returns the offset after it *)
+let encode_at buf off (seq, payload) =
   let len = String.length payload in
-  let record = Bytes.create (header_size + len) in
-  Bytes.set_int32_be record 0 (Int32.of_int len);
-  Bytes.set_int64_be record 4 (Int64.of_int seq);
-  Bytes.blit_string payload 0 record header_size len;
+  Bytes.set_int32_be buf off (Int32.of_int len);
+  Bytes.set_int64_be buf (off + 4) (Int64.of_int seq);
+  Bytes.blit_string payload 0 buf (off + header_size) len;
   (* over seq + payload, skipping the crc field between them — must
      mirror [crc_of_region] exactly *)
   let crc =
-    Crc32.update (Crc32.update 0 record ~pos:4 ~len:8) record ~pos:header_size
-      ~len
+    Crc32.update (Crc32.update 0 buf ~pos:(off + 4) ~len:8) buf
+      ~pos:(off + header_size) ~len
   in
-  Bytes.set_int32_be record 12 (Int32.of_int crc);
-  record
+  Bytes.set_int32_be buf (off + 12) (Int32.of_int crc);
+  off + header_size + len
+
+(** [encode_batch records] — the framed [(seq, payload)] records, back
+    to back: the bytes of one WAL append, or of a whole snapshot. *)
+let encode_batch records =
+  let size =
+    List.fold_left
+      (fun n (_, payload) -> n + header_size + String.length payload)
+      0 records
+  in
+  let buf = Bytes.create size in
+  ignore (List.fold_left (encode_at buf) 0 records);
+  buf
 
 (* crc over seq+payload, skipping the crc field between them *)
 let crc_of_region bytes off len =
@@ -111,9 +128,12 @@ let scan_file path =
 (* ------------------------------ appender ----------------------------- *)
 
 type t = {
-  path : string;
   fd : Unix.file_descr;
   fsync_on_commit : bool;
+  mutable committed : int;  (** offset after the last durable record *)
+  mutable torn : bool;
+      (** a failed commit could not cut the file back to [committed]:
+          the next {!commit} or {!close} must, before anything else *)
   m_appends : Obs.Counter.t;
   m_fsyncs : Obs.Counter.t;
   m_bytes : Obs.Counter.t;
@@ -127,67 +147,76 @@ let open_append ?(fsync_on_commit = true) ~registry ~path ~valid_bytes () =
   Unix.ftruncate fd valid_bytes;
   ignore (Unix.lseek fd 0 Unix.SEEK_END);
   {
-    path;
     fd;
     fsync_on_commit;
+    committed = valid_bytes;
+    torn = false;
     m_appends = Obs.Registry.counter registry "obda_wal_appends_total";
     m_fsyncs = Obs.Registry.counter registry "obda_wal_fsyncs_total";
     m_bytes = Obs.Registry.counter registry "obda_wal_bytes_written_total";
   }
 
-(** [append t ~seq payload] — write one record and (by default) fsync
-    before returning: once [append] returns, the record survives
-    [kill -9].  Failpoints, in order: [wal.append.before] (nothing
-    written), [wal.append.write] (partial-write site),
-    [wal.append.before_fsync] (record written, durability not yet
-    guaranteed), [wal.append.after_fsync] (durable, not yet
-    acknowledged). *)
-let append t ~seq payload =
-  Failpoint.check "wal.append.before";
-  let record = encode ~seq payload in
-  Io.write_all ~failpoint:"wal.append.write" t.fd record ~pos:0
-    ~len:(Bytes.length record);
-  Obs.Counter.incr t.m_appends;
-  Obs.Counter.incr ~by:(Bytes.length record) t.m_bytes;
-  if t.fsync_on_commit then begin
-    Io.fsync ~failpoint:"wal.append.before_fsync" t.fd;
-    Obs.Counter.incr t.m_fsyncs
-  end;
-  Failpoint.check "wal.append.after_fsync"
+(* drop every byte past the last durable record *)
+let cut t =
+  Unix.ftruncate t.fd t.committed;
+  ignore (Unix.lseek t.fd t.committed Unix.SEEK_SET);
+  t.torn <- false
+
+(** [commit t records] — write [(seq, payload)] records with one append
+    and (by default) one fsync: once [commit] returns, all of them
+    survive [kill -9].  Failpoints, once per call: [wal.append.before]
+    (nothing written), [wal.append.write] (partial-write site),
+    [wal.append.before_fsync] (written, durability not yet guaranteed),
+    [wal.append.after_fsync] (durable, not yet acknowledged).  On any
+    failure none of the records is acknowledged: the file is cut back to
+    the last durable record at once — or, if even that fails, marked
+    [torn] for the next commit or {!close} to cut — and the failure is
+    re-raised, so a refused record can never come back on replay. *)
+let commit t records =
+  try
+    Failpoint.check "wal.append.before";
+    if t.torn then cut t;
+    let bytes = encode_batch records in
+    Io.write_all ~failpoint:"wal.append.write" t.fd bytes ~pos:0
+      ~len:(Bytes.length bytes);
+    Obs.Counter.incr ~by:(List.length records) t.m_appends;
+    Obs.Counter.incr ~by:(Bytes.length bytes) t.m_bytes;
+    if t.fsync_on_commit then begin
+      Io.fsync ~failpoint:"wal.append.before_fsync" t.fd;
+      Obs.Counter.incr t.m_fsyncs
+    end;
+    Failpoint.check "wal.append.after_fsync";
+    t.committed <- t.committed + Bytes.length bytes
+  with e ->
+    t.torn <- true;
+    (try cut t with _ -> ());
+    raise e
 
 (** [reset t] empties the log — called once a snapshot has made its
     records redundant.  The truncation is fsync'd: a crash right after
     must not resurrect pre-snapshot records with stale sequence
     numbers. *)
 let reset t =
-  Unix.ftruncate t.fd 0;
-  ignore (Unix.lseek t.fd 0 Unix.SEEK_SET);
-  Io.fsync t.fd;
-  Obs.Counter.incr t.m_fsyncs
-
-(** [truncate_to t len] — cut the log back to [len] bytes and reposition
-    the append offset there: the failed-append repair, run before the
-    next append so torn bytes never end up under a good record. *)
-let truncate_to t len =
-  Unix.ftruncate t.fd len;
-  ignore (Unix.lseek t.fd len Unix.SEEK_SET)
-
-let sync t =
+  t.committed <- 0;
+  cut t;
   Io.fsync t.fd;
   Obs.Counter.incr t.m_fsyncs
 
 let close t =
-  (try sync t with Unix.Unix_error _ -> ());
+  (try
+     if t.torn then cut t;
+     Io.fsync t.fd;
+     Obs.Counter.incr t.m_fsyncs
+   with Unix.Unix_error _ -> ());
   try Unix.close t.fd with Unix.Unix_error _ -> ()
 
 (* ---------------------------- group commit --------------------------- *)
 
-(** The group committer: concurrent appenders enqueue framed records and
-    block; a dedicated committer thread drains the queue, writes the
-    whole batch with one buffered append and {e one} fsync, then
-    releases every waiter in the batch at once — amortizing the fsync
-    (the dominant cost of durability) across however many sessions were
-    writing concurrently.
+(** The group committer: concurrent appenders enqueue records and block;
+    a dedicated committer thread drains the queue, {!commit}s the whole
+    batch — one append, {e one} fsync — then releases every waiter in
+    the batch at once, amortizing the fsync (the dominant cost of
+    durability) across however many sessions were writing concurrently.
 
     The batching window is {e self-clocked} rather than timer-driven:
     while batch [N]'s write+fsync is in flight, arrivals accumulate into
@@ -199,14 +228,8 @@ let close t =
     (default 64) bounds the batch size so one bad batch never tears more
     than a window's worth of records.
 
-    Failure semantics mirror the single-record path: an injected or real
-    I/O error fails {e every} record in the batch (none was
-    acknowledged), the file is cut back to the last committed offset so
-    torn bytes never end up under a later good record, and subsequent
-    batches proceed.  The failpoints [wal.append.before],
-    [wal.append.write], [wal.append.before_fsync] and
-    [wal.append.after_fsync] fire once per {e batch}, at the same
-    protocol points as the single-record path. *)
+    A failed {!commit} fails {e every} record in the batch (none was
+    acknowledged) and later batches proceed. *)
 module Group = struct
   type outcome = Pending | Committed | Failed of exn
 
@@ -223,18 +246,15 @@ module Group = struct
     released : Condition.t;  (* broadcast when a batch resolves *)
     mutable queue : (int * string * ticket) list;  (* newest first *)
     mutable in_flight : int;
-    mutable committed_bytes : int;
-        (** file offset after the last good batch *)
-    mutable gdirty : bool;   (** a failed repair left torn bytes behind *)
     mutable stopping : bool;
     mutable thread : Thread.t option;
     mutable last_batch : int;
         (** previous batch's size — the harvest target under steady load *)
     max_batch : int;
-    on_commit : ((int * string) list -> unit) option;
+    on_commit : (int * string) list -> unit;
         (** fired on the committer thread after each durable batch, in
             sequence order, before the batch's waiters are released —
-            the replication hub's tap into the commit stream *)
+            the store's commit notification *)
     m_group_size : Obs.Histogram.t;
     m_group_commits : Obs.Counter.t;
   }
@@ -244,36 +264,6 @@ module Group = struct
       let a, b = split_at (n - 1) rest in
       (x :: a, b)
     | rest -> ([], rest)
-
-  (* write + fsync one batch; on failure, cut the file back so the torn
-     bytes can never precede a later good record *)
-  let commit_batch g batch =
-    try
-      Failpoint.check "wal.append.before";
-      if g.gdirty then begin
-        truncate_to g.wal g.committed_bytes;
-        g.gdirty <- false
-      end;
-      let buf = Buffer.create 4096 in
-      List.iter
-        (fun (seq, payload, _) -> Buffer.add_bytes buf (encode ~seq payload))
-        batch;
-      let bytes = Buffer.to_bytes buf in
-      Io.write_all ~failpoint:"wal.append.write" g.wal.fd bytes ~pos:0
-        ~len:(Bytes.length bytes);
-      Obs.Counter.incr ~by:(List.length batch) g.wal.m_appends;
-      Obs.Counter.incr ~by:(Bytes.length bytes) g.wal.m_bytes;
-      if g.wal.fsync_on_commit then begin
-        Io.fsync ~failpoint:"wal.append.before_fsync" g.wal.fd;
-        Obs.Counter.incr g.wal.m_fsyncs
-      end;
-      Failpoint.check "wal.append.after_fsync";
-      g.committed_bytes <- g.committed_bytes + Bytes.length bytes;
-      Committed
-    with e ->
-      (try truncate_to g.wal g.committed_bytes
-       with _ -> g.gdirty <- true);
-      Failed e
 
   let rec run g =
     Mutex.lock g.gm;
@@ -307,16 +297,18 @@ module Group = struct
       g.queue <- List.rev rest;
       g.in_flight <- List.length batch;
       Mutex.unlock g.gm;
-      let outcome = commit_batch g batch in
+      let records = List.map (fun (seq, payload, _) -> (seq, payload)) batch in
+      let outcome =
+        match commit g.wal records with
+        | () ->
+          (* observers run before waiters are released: when an append
+             returns, its record is already in the commit stream *)
+          (try g.on_commit records with _ -> ());
+          Committed
+        | exception e -> Failed e
+      in
       Obs.Histogram.observe g.m_group_size (float_of_int (List.length batch));
       Obs.Counter.incr g.m_group_commits;
-      (match (outcome, g.on_commit) with
-      | Committed, Some f -> (
-        (* observer runs before waiters are released: when an append
-           returns, its record is already in the replication stream *)
-        try f (List.map (fun (seq, payload, _) -> (seq, payload)) batch)
-        with _ -> ())
-      | _ -> ());
       List.iter
         (fun (_, _, tk) ->
           tk.outcome <- outcome;
@@ -329,9 +321,9 @@ module Group = struct
       run g
     end
 
-  (** [start ~registry ~committed wal] — spawn the committer over an
-      opened appender whose good data ends at offset [committed]. *)
-  let start ?(max_batch = 64) ?on_commit ~registry ~committed wal =
+  (** [start ~registry ~on_commit wal] — spawn the committer over an
+      opened appender. *)
+  let start ?(max_batch = 64) ~registry ~on_commit wal =
     let g =
       {
         on_commit;
@@ -341,8 +333,6 @@ module Group = struct
         released = Condition.create ();
         queue = [];
         in_flight = 0;
-        committed_bytes = committed;
-        gdirty = false;
         stopping = false;
         thread = None;
         last_batch = 1;
@@ -373,10 +363,10 @@ module Group = struct
     Mutex.unlock g.gm;
     tk
 
-  (** [await g tk] — block until the ticket's batch commits.  Raises the
+  (** [await tk] — block until the ticket's batch commits.  Raises the
       batch's failure (the record was not made durable and must be
-      rejected, exactly like a failed {!append}). *)
-  let await _g tk =
+      rejected, exactly like a failed {!commit}). *)
+  let await tk =
     Semaphore.Binary.acquire tk.sem;
     match tk.outcome with
     | Committed -> ()
@@ -392,14 +382,6 @@ module Group = struct
     while g.queue <> [] || g.in_flight > 0 do
       Condition.wait g.released g.gm
     done;
-    Mutex.unlock g.gm
-
-  (** [note_reset g] — the WAL was just emptied (snapshot install);
-      restart offset accounting from zero.  Call only quiesced. *)
-  let note_reset g =
-    Mutex.lock g.gm;
-    g.committed_bytes <- 0;
-    g.gdirty <- false;
     Mutex.unlock g.gm
 
   (** [stop g] — drain the queue, stop the committer, join it. *)

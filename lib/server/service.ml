@@ -290,34 +290,48 @@ let mappings_payload signature mappings =
 
 (* ------------------------- log before apply ------------------------- *)
 
-let log_mutation t m =
-  match t.store with
-  | None -> Result.Ok ()
-  | Some store -> (
-    (* a fenced ex-primary refuses before logging: its WAL must not grow
-       a suffix the new epoch will never replicate *)
-    match (match t.repl with Some r -> r.gate () | None -> Result.Ok ()) with
-    | Result.Error _ as e -> e
-    | Result.Ok () -> (
-      try
-        let seq = Durable.Store.append store m in
-        (* semi-synchronous replication: hold the ack until the record
-           is on at least one subscribed replica.  A barrier refusal
-           leaves the record durable locally but unacknowledged — the
-           client must treat it as not applied, and a later epoch-gated
-           rejoin discards it with the rest of the stale suffix. *)
-        match t.repl with Some r -> r.barrier seq | None -> Result.Ok ()
-      with
-      | Durable.Failpoint.Injected name ->
-        Result.Error (Printf.sprintf "wal: injected fault at %s" name)
-      | Unix.Unix_error (e, fn, _) ->
-        Result.Error (Printf.sprintf "wal: %s: %s" fn (Unix.error_message e))
-      | Sys_error e -> Result.Error ("wal: " ^ e)))
+(** [commit t ~log mutation apply] — the one mutation path: validate
+    first (the caller has), then log [mutation] to the WAL and pass the
+    replication barrier, and only then [apply ()] and acknowledge.  A
+    refusal before [apply] is an ERR with nothing applied, and the
+    refused record never replays.  [log = false] is the replication /
+    restore apply path: the record is already durable (in the recovered
+    WAL, or [append_raw]'d by the replica applier before this call). *)
+let commit t ~log mutation apply =
+  let logged =
+    match t.store with
+    | Some store when log -> (
+      (* a fenced ex-primary refuses before logging: its WAL must not
+         grow a suffix the new epoch will never replicate *)
+      match (match t.repl with Some r -> r.gate () | None -> Result.Ok ()) with
+      | Result.Error _ as e -> e
+      | Result.Ok () -> (
+        try
+          let seq = Durable.Store.append store mutation in
+          (* semi-synchronous replication: hold the ack until the record
+             is on at least one subscribed replica.  A barrier refusal
+             leaves the record durable locally but unacknowledged — the
+             client must treat it as not applied, and a later
+             epoch-gated rejoin discards it with the rest of the stale
+             suffix. *)
+          match t.repl with Some r -> r.barrier seq | None -> Result.Ok ()
+        with
+        | Durable.Failpoint.Injected name ->
+          Result.Error (Printf.sprintf "wal: injected fault at %s" name)
+        | Unix.Unix_error (e, fn, _) ->
+          Result.Error (Printf.sprintf "wal: %s: %s" fn (Unix.error_message e))
+        | Sys_error e -> Result.Error ("wal: " ^ e)))
+    | _ -> Result.Ok ()
+  in
+  match logged with
+  | Result.Error e -> Wire.Err e
+  | Result.Ok () ->
+    apply ();
+    Wire.Ok []
 
-let log_load t s kind payload =
-  log_mutation t
-    (Durable.Store.Load
-       { session = s.sname; kind = Wire.string_of_kind kind; payload })
+let load_mutation s kind payload =
+  Durable.Store.Load
+    { session = s.sname; kind = Wire.string_of_kind kind; payload }
 
 (* ------------------------------ sessions ---------------------------- *)
 
@@ -716,18 +730,8 @@ let render_tuple = function
 
 let handle_load ?(log = true) t s kind payload =
   let text = String.concat "\n" payload in
-  (* validate fully, then WAL, then apply: a malformed payload is never
-     logged, and a refused append is an ERR with nothing applied.
-     [log = false] is the replication / restore apply path: the record
-     is already durable (in the recovered WAL, or [append_raw]'d by the
-     replica applier before this call). *)
-  let commit apply =
-    match (if log then log_load t s kind payload else Result.Ok ()) with
-    | Result.Error e -> Wire.Err e
-    | Result.Ok () ->
-      apply ();
-      Wire.Ok []
-  in
+  (* validate fully, then [commit]: a malformed payload is never logged *)
+  let commit = commit t ~log (load_mutation s kind payload) in
   match kind with
   | Wire.K_tbox -> (
     match Parser.tbox_of_string text with
@@ -768,26 +772,21 @@ let handle_bulk_chunk ?(log = true) t s payload =
   let text = String.concat "\n" payload in
   match Obda.Qparse.parse_facts text with
   | exception Obda.Qparse.Parse_error e -> Wire.Err ("facts: " ^ e)
-  | rows -> (
-    match
-      (if log then log_load t s Wire.K_facts payload else Result.Ok ())
-    with
-    | Result.Error e -> Wire.Err e
-    | Result.Ok () ->
-      List.iter
-        (fun (rel, row) -> Obda.Database.insert s.database rel row)
-        rows;
-      let b =
-        match s.bulk with
-        | Some b -> b
-        | None ->
-          let b = { chunks = 0; facts = 0 } in
-          s.bulk <- Some b;
-          b
-      in
-      b.chunks <- b.chunks + 1;
-      b.facts <- b.facts + List.length rows;
-      Wire.Ok [])
+  | rows ->
+    commit t ~log (load_mutation s Wire.K_facts payload) (fun () ->
+        List.iter
+          (fun (rel, row) -> Obda.Database.insert s.database rel row)
+          rows;
+        let b =
+          match s.bulk with
+          | Some b -> b
+          | None ->
+            let b = { chunks = 0; facts = 0 } in
+            s.bulk <- Some b;
+            b
+        in
+        b.chunks <- b.chunks + 1;
+        b.facts <- b.facts + List.length rows)
 
 (* close the active stream, END or ABORT alike, and return it: acked
    chunks are durable and stay (atomicity is per chunk, not per stream),
@@ -908,21 +907,14 @@ and handle_checked ~internal t request =
           timed t "prepare" (fun () ->
               match parse_query s query with
               | Result.Error e -> Wire.Err ("query: " ^ e)
-              | Result.Ok _ -> (
-                match
-                  if log then
-                    log_mutation t
-                      (Durable.Store.Prepare
-                         { session = name; name = qname; query })
-                  else Result.Ok ()
-                with
-                | Result.Error e -> Wire.Err e
-                | Result.Ok () ->
-                  (* stored as text and re-parsed per ASK: a later TBox
-                     swap may re-sort predicate names, which must affect
-                     the parse, not silently reuse a stale one *)
-                  Hashtbl.replace s.prepared qname query;
-                  Wire.Ok [])))
+              | Result.Ok _ ->
+                commit t ~log
+                  (Durable.Store.Prepare { session = name; name = qname; query })
+                  (fun () ->
+                    (* stored as text and re-parsed per ASK: a later TBox
+                       swap may re-sort predicate names, which must
+                       affect the parse, not silently reuse a stale one *)
+                    Hashtbl.replace s.prepared qname query)))
     in
     maybe_snapshot t;
     reply

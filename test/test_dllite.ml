@@ -240,15 +240,6 @@ let test_abox () =
   Alcotest.(check (list (pair string string))) "role pairs" [ ("alice", "bob") ]
     (Abox.role_members a "knows")
 
-let test_abox_parse () =
-  let a = Parser.parse_abox {|
-    Person(alice)
-    knows(alice, bob)
-    attr age(alice, thirty)
-  |} in
-  Alcotest.(check int) "parsed size" 3 (Abox.size a);
-  Alcotest.(check bool) "role" true (Abox.mem (Abox.Role_assert ("knows", "alice", "bob")) a)
-
 let () =
   Alcotest.run "dllite"
     [
@@ -282,6 +273,5 @@ let () =
       ( "abox",
         [
           Alcotest.test_case "assertions" `Quick test_abox;
-          Alcotest.test_case "parsing" `Quick test_abox_parse;
         ] );
     ]

@@ -134,11 +134,7 @@ let test_failpoint_env () =
 (* ------------------------------ WAL scan ----------------------------- *)
 
 let wal_bytes payloads =
-  let buf = Buffer.create 256 in
-  List.iteri
-    (fun i p -> Buffer.add_bytes buf (Wal.encode ~seq:(i + 1) p))
-    payloads;
-  Buffer.to_bytes buf
+  Wal.encode_batch (List.mapi (fun i p -> (i + 1, p)) payloads)
 
 (* scanned entries are exactly the first [k] payloads, for some [k] *)
 let prefix_length scanned payloads =
@@ -325,9 +321,9 @@ let test_store_partial_write_crash () =
 
 (* --------------------------- group commit ---------------------------- *)
 
-let test_store_group_concurrent_roundtrip () =
+let concurrent_roundtrip ~group_commit () =
   let dir = fresh_dir () in
-  let store, _ = open_ok ~group_commit:true dir in
+  let store, _ = open_ok ~group_commit dir in
   let sessions = 4 and per_session = 25 in
   let writer i () =
     for j = 0 to per_session - 1 do
@@ -387,6 +383,64 @@ let test_store_group_failed_append_repair () =
     "failed batch leaves no trace" [ m1; m3 ] r.Store.mutations;
   Alcotest.(check int) "no truncation on reopen" 0 r.Store.truncated_bytes;
   Store.close store
+
+(* ----------------------- refusals on both schedulers ----------------- *)
+
+let schedulers = [ ("direct", false); ("group", true) ]
+
+(* a refused append never comes back: not after a clean close, on either
+   scheduler, wherever in the commit the fault lands — before the write,
+   between write and fsync, or after the fsync *)
+let test_store_refused_append_never_returns () =
+  Failpoint.disarm_all ();
+  Fun.protect ~finally:Failpoint.disarm_all @@ fun () ->
+  List.iter
+    (fun (scheduler, group_commit) ->
+      List.iter
+        (fun site ->
+          let dir = fresh_dir () in
+          let store, _ = open_ok ~group_commit dir in
+          let m1 = m_load "FACTS" [ "t(\"1\")" ] in
+          ignore (Store.append store m1);
+          Failpoint.arm site Failpoint.Inject_error;
+          (match Store.append store (m_load "FACTS" [ "t(\"2\")" ]) with
+           | (_ : int) -> Alcotest.failf "%s/%s: append must fail" scheduler site
+           | exception Failpoint.Injected _ -> ());
+          Failpoint.disarm site;
+          Store.close store;
+          let store, r = open_ok dir in
+          Alcotest.(check (list muts_equal))
+            (Printf.sprintf "%s/%s: only the acknowledged record" scheduler site)
+            [ m1 ] r.Store.mutations;
+          Store.close store)
+        [ "wal.append.before"; "wal.append.before_fsync"; "wal.append.after_fsync" ])
+    schedulers
+
+(* the replication fence is the last durable record: a refused
+   [append_raw] must not move it, or a re-subscribing replica would skip
+   the refused record for good *)
+let test_store_refused_append_raw_keeps_fence () =
+  Failpoint.disarm_all ();
+  Fun.protect ~finally:Failpoint.disarm_all @@ fun () ->
+  List.iter
+    (fun (scheduler, group_commit) ->
+      let dir = fresh_dir () in
+      let store, _ = open_ok ~group_commit dir in
+      let p1 = Store.encode_mutation (m_load "FACTS" [ "t(\"1\")" ]) in
+      let p2 = Store.encode_mutation (m_load "FACTS" [ "t(\"2\")" ]) in
+      Store.append_raw store ~seq:1 p1;
+      Failpoint.arm "wal.append.before_fsync" Failpoint.Inject_error;
+      (match Store.append_raw store ~seq:2 p2 with
+       | () -> Alcotest.failf "%s: append_raw must fail" scheduler
+       | exception Failpoint.Injected _ -> ());
+      Failpoint.disarm_all ();
+      Alcotest.(check int) (scheduler ^ ": fence stays") 1 (Store.last_seq store);
+      (* the redelivered record is accepted and moves the fence *)
+      Store.append_raw store ~seq:2 p2;
+      Alcotest.(check int) (scheduler ^ ": redelivery lands") 2
+        (Store.last_seq store);
+      Store.close store)
+    schedulers
 
 (* --------------------- service-level crash property ------------------ *)
 
@@ -728,6 +782,42 @@ let test_service_wal_refusal_is_err () =
    | _ -> Alcotest.fail "ask");
   Store.close store
 
+(* the refused mutation stays refused across a restart *)
+let test_service_wal_refusal_survives_restart () =
+  Failpoint.disarm_all ();
+  Fun.protect ~finally:Failpoint.disarm_all @@ fun () ->
+  let dir = fresh_dir () in
+  let store, _ = open_ok dir in
+  let service = Service.create ~config:{ Service.Config.default with lru = 8 } ~registry:(registry ()) () in
+  Service.attach_store service store;
+  apply_all service
+    [
+      m_load "TBOX" [ "concept A"; "concept B"; "A [= B" ];
+      m_load "ABOX" [ "A(a)" ];
+    ];
+  Failpoint.arm "wal.append.before_fsync" Failpoint.Inject_error;
+  (match
+     Service.handle service
+       (Wire.Load { session = "s"; kind = Wire.K_abox; payload = [ "A(b)" ] })
+   with
+   | Wire.Err _ -> ()
+   | _ -> Alcotest.fail "refused append must ERR");
+  Failpoint.disarm_all ();
+  Store.close store;
+  let store, r = open_ok dir in
+  let recovered = Service.create ~config:{ Service.Config.default with lru = 8 } ~registry:(registry ()) () in
+  (match Service.restore recovered r.Store.mutations with
+   | Result.Ok _ -> ()
+   | Result.Error e -> Alcotest.fail e);
+  (match
+     Service.handle recovered
+       (Wire.Ask { session = "s"; query = Wire.Inline "x <- A(x)" })
+   with
+   | Wire.Ok lines ->
+     Alcotest.(check (list string)) "refused mutation not recovered" [ "a" ] lines
+   | _ -> Alcotest.fail "ask");
+  Store.close store
+
 (* -------------------------------- suite ------------------------------ *)
 
 let () =
@@ -762,9 +852,15 @@ let () =
           Alcotest.test_case "partial write + crash" `Quick
             test_store_partial_write_crash;
           Alcotest.test_case "group commit concurrent roundtrip" `Quick
-            test_store_group_concurrent_roundtrip;
+            (concurrent_roundtrip ~group_commit:true);
+          Alcotest.test_case "direct concurrent roundtrip" `Quick
+            (concurrent_roundtrip ~group_commit:false);
           Alcotest.test_case "group commit failed append repair" `Quick
             test_store_group_failed_append_repair;
+          Alcotest.test_case "refused append never comes back" `Quick
+            test_store_refused_append_never_returns;
+          Alcotest.test_case "refused append_raw keeps the fence" `Quick
+            test_store_refused_append_raw_keeps_fence;
         ] );
       ( "service-recovery",
         [
@@ -773,6 +869,8 @@ let () =
             test_service_snapshot_compaction;
           Alcotest.test_case "WAL refusal is ERR" `Quick
             test_service_wal_refusal_is_err;
+          Alcotest.test_case "WAL refusal survives restart" `Quick
+            test_service_wal_refusal_survives_restart;
         ] );
       ( "crash-property",
         [

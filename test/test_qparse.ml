@@ -162,6 +162,22 @@ let test_same_arguments_everywhere () =
       refused (fun () -> ignore (Qparse.parse_assertion ~signature atom)))
     [ {|Employee("Smith, J)|}; "salary(p1, )"; "salary(, p1)"; "Employee" ]
 
+let test_parse_abox () =
+  let a =
+    Abox.of_list
+      (Qparse.parse_abox ~signature
+         {|
+           Employee(alice)
+           worksFor(alice, bob)
+           salary(alice, thirty)
+         |})
+  in
+  Alcotest.(check int) "parsed size" 3 (Abox.size a);
+  Alcotest.(check bool) "role" true
+    (Abox.mem (Abox.Role_assert ("worksFor", "alice", "bob")) a);
+  Alcotest.(check bool) "attribute from the signature" true
+    (Abox.mem (Abox.Attr_assert ("salary", "alice", "thirty")) a)
+
 let () =
   Alcotest.run "qparse"
     [
@@ -183,4 +199,5 @@ let () =
           Alcotest.test_case "errors" `Quick test_parse_mappings_errors;
         ] );
       ("facts", [ Alcotest.test_case "loading" `Quick test_load_facts ]);
+      ("abox", [ Alcotest.test_case "parsing" `Quick test_parse_abox ]);
     ]
