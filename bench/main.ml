@@ -32,65 +32,127 @@ let timeit f =
 (* E1 / Figure 1: classification times, 11 ontologies x 5 reasoners    *)
 (* ------------------------------------------------------------------ *)
 
+(* a timed-out cell keeps the seconds it ran before it stopped *)
 type cell =
   | Time of float
-  | Timeout
+  | Timeout of float
 
 let pp_cell = function
   | Time s -> Printf.sprintf "%10.3f" s
-  | Timeout -> Printf.sprintf "%10s" "timeout"
+  | Timeout _ -> Printf.sprintf "%10s" "timeout"
 
 let json_cell = function
   | Time s -> Printf.sprintf "%.4f" s
-  | Timeout -> "\"timeout\""
+  | Timeout _ -> "\"timeout\""
+
+(* the peak resident set of this process so far, in MB *)
+let peak_rss_mb () =
+  let ic = open_in "/proc/self/status" in
+  let rec scan () =
+    match input_line ic with
+    | line when String.starts_with ~prefix:"VmHWM:" line ->
+      Scanf.sscanf line "VmHWM: %d kB" (fun kb -> float_of_int kb /. 1024.)
+    | _ -> scan ()
+  in
+  Fun.protect ~finally:(fun () -> close_in ic) scan
+
+(* One Figure-1 cell in a forked child, so that its peak RSS is its own
+   and no cell's heap inflates the next: the child generates the TBox
+   (untimed), classifies it, and writes back the TBox size, the cell
+   and its VmHWM.  The parent never classifies, so no domain is running
+   when it forks, as long as no domain-spawning mode ([closure-par],
+   [serve], ...) ran before [figure1] in the same invocation. *)
+let forked_cell scaled classify =
+  flush_all ();
+  let rd, wr = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+    Unix.close rd;
+    let tbox = Ontgen.Generator.generate scaled in
+    let size =
+      Signature.concept_count (Tbox.signature tbox)
+      + Signature.role_count (Tbox.signature tbox)
+    in
+    let t0 = Unix.gettimeofday () in
+    let verdict =
+      match classify tbox with
+      | () -> "done"
+      | exception Baselines.Personas.Timed_out -> "timeout"
+    in
+    let elapsed = Unix.gettimeofday () -. t0 in
+    let oc = Unix.out_channel_of_descr wr in
+    Printf.fprintf oc "%d %s %.6f %.1f\n" size verdict elapsed (peak_rss_mb ());
+    close_out oc;
+    Unix._exit 0
+  | pid -> (
+    Unix.close wr;
+    let ic = Unix.in_channel_of_descr rd in
+    let reply = In_channel.input_all ic in
+    close_in ic;
+    match (Unix.waitpid [] pid, String.split_on_char ' ' (String.trim reply)) with
+    | (_, Unix.WEXITED 0), [ size; verdict; elapsed; peak ] ->
+      let elapsed = float_of_string elapsed in
+      let cell = if verdict = "timeout" then Timeout elapsed else Time elapsed in
+      (int_of_string size, cell, float_of_string peak)
+    | _ ->
+      failwith
+        (Printf.sprintf "figure1: the %s cell's process died"
+           scaled.Ontgen.Generator.label))
 
 let figure1 ~scale ~timeout () =
   Printf.printf
     "== E1 / Figure 1: classification times (seconds; scale %.3f, per-cell \
-     timeout %.0fs) ==\n"
+     timeout %gs; second line: each cell's peak RSS in MB) ==\n"
     scale timeout;
   Printf.printf "%-16s %10s %10s %10s %10s %10s %10s\n" "Ontology" "|C|+|R|"
     "QuOnto" "FaCT++" "HermiT" "Pellet" "CB";
-  let run_cell f =
-    match timeit f with
-    | _, elapsed -> Time elapsed
-    | exception Baselines.Personas.Timed_out -> Timeout
+  let persona p tbox = ignore (Baselines.Personas.classify ~deadline:timeout p tbox) in
+  let reasoners =
+    [
+      (* QuOnto: the digraph method (encode + SCC closure + computeUnsat) *)
+      ("quonto", fun tbox -> ignore (Quonto.Classify.classify tbox));
+      (* the three tableau personas, with the paper's timeout semantics *)
+      ("factpp", persona Baselines.Personas.fact_plus_plus);
+      ("hermit", persona Baselines.Personas.hermit);
+      ("pellet", persona Baselines.Personas.pellet);
+      (* CB: consequence-based saturation (no property hierarchy) *)
+      ("cb", fun tbox -> ignore (Baselines.Cb.classify tbox));
+    ]
   in
   let rows =
     List.map
       (fun profile ->
         let scaled = Ontgen.Generator.scale scale profile in
-        let tbox = Ontgen.Generator.generate scaled in
-        let size =
-          Signature.concept_count (Tbox.signature tbox)
-          + Signature.role_count (Tbox.signature tbox)
+        let cells =
+          List.map (fun (key, f) -> (key, forked_cell scaled f)) reasoners
         in
-        (* QuOnto: the digraph method (encode + SCC closure + computeUnsat) *)
-        let quonto = run_cell (fun () -> ignore (Quonto.Classify.classify tbox)) in
-        (* the three tableau personas, with the paper's timeout semantics *)
-        let persona p =
-          run_cell (fun () ->
-              ignore (Baselines.Personas.classify ~deadline:timeout p tbox))
-        in
-        let fact = persona Baselines.Personas.fact_plus_plus in
-        let hermit = persona Baselines.Personas.hermit in
-        let pellet = persona Baselines.Personas.pellet in
-        (* CB: consequence-based saturation (no property hierarchy) *)
-        let cb = run_cell (fun () -> ignore (Baselines.Cb.classify tbox)) in
-        Printf.printf "%-16s %10d %s %s %s %s %s\n%!" profile.Ontgen.Generator.label
-          size (pp_cell quonto) (pp_cell fact) (pp_cell hermit) (pp_cell pellet)
-          (pp_cell cb);
+        let size = match cells with (_, (size, _, _)) :: _ -> size | [] -> 0 in
+        let label = profile.Ontgen.Generator.label in
+        Printf.printf "%-16s %10d%s\n%-16s %10s%s\n%!" label size
+          (String.concat ""
+             (List.map (fun (_, (_, c, _)) -> " " ^ pp_cell c) cells))
+          "" ""
+          (String.concat ""
+             (List.map (fun (_, (_, _, mb)) -> Printf.sprintf " %10.0f" mb) cells));
+        let fields f = String.concat ", " (List.filter_map f cells) in
         Printf.sprintf
-          "    {\"ontology\": %S, \"size\": %d, \"quonto_s\": %s, \"factpp_s\": %s, \
-           \"hermit_s\": %s, \"pellet_s\": %s, \"cb_s\": %s}"
-          profile.Ontgen.Generator.label size (json_cell quonto) (json_cell fact)
-          (json_cell hermit) (json_cell pellet) (json_cell cb))
+          "    {\"ontology\": %S, \"size\": %d, %s,\n     \"peak_mb\": {%s},\n     \
+           \"stopped_s\": {%s}}"
+          label size
+          (fields (fun (key, (_, c, _)) ->
+               Some (Printf.sprintf "\"%s_s\": %s" key (json_cell c))))
+          (fields (fun (key, (_, _, mb)) -> Some (Printf.sprintf "\"%s\": %.1f" key mb)))
+          (fields (function
+             | key, (_, Timeout s, _) -> Some (Printf.sprintf "\"%s\": %.2f" key s)
+             | _ -> None)))
       Ontgen.Profiles.figure1
   in
   let oc = open_out "BENCH_figure1.json" in
   Printf.fprintf oc
     "{\n  \"bench\": \"figure1\",\n  \"scale\": %.4f,\n  \"persona_timeout_s\": %g,\n  \
-     \"host_cores\": %d,\n  \"runs\": 1,\n  \"rows\": [\n%s\n  ]\n}\n"
+     \"host_cores\": %d,\n  \"runs\": 1,\n  \"cell_process\": \"one forked process per \
+     cell; peak_mb is its VmHWM, TBox generation included; stopped_s is when a \
+     timed-out cell stopped\",\n  \"rows\": [\n%s\n  ]\n}\n"
     scale timeout (Domain.recommended_domain_count ()) (String.concat ",\n" rows);
   close_out oc;
   Printf.printf

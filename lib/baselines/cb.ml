@@ -1,6 +1,6 @@
 (** Consequence-based classifier in the style of the CB reasoner /
     ELK: saturate per-concept "derived superconcept" sets with indexed
-    inference rules and a worklist.
+    inference rules, one concept at a time by a depth-first walk.
 
     Faithful to the paper's description of CB in two ways:
     - it is very fast on positive-inclusion-heavy ontologies (one pass,
@@ -73,22 +73,27 @@ let classify tbox =
       | Syntax.Role_incl (_, Syntax.R_neg _)
       | Syntax.Attr_incl (_, Syntax.A_neg _) -> ())
     (Tbox.axioms tbox);
-  (* saturation: S(x) starts at {x}; B ∈ S(x), B → C  ⟹  C ∈ S(x) *)
+  (* saturation, one concept at a time: S(x) starts at {x};
+     B ∈ S(x), B → C  ⟹  C ∈ S(x).  Each concept enters the DFS stack at
+     most once per x, so one reused stack of size n suffices. *)
   let supers = Array.init n (fun _ -> Graphlib.Bitvec.create n) in
-  let queue = Queue.create () in
+  let stack = Array.make n 0 in
   for x = 0 to n - 1 do
-    Graphlib.Bitvec.set supers.(x) x;
-    Queue.add (x, x) queue
-  done;
-  while not (Queue.is_empty queue) do
-    let x, b = Queue.pop queue in
-    List.iter
-      (fun c ->
-        if not (Graphlib.Bitvec.get supers.(x) c) then begin
-          Graphlib.Bitvec.set supers.(x) c;
-          Queue.add (x, c) queue
-        end)
-      links.(b)
+    let s = supers.(x) in
+    Graphlib.Bitvec.set s x;
+    stack.(0) <- x;
+    let top = ref 1 in
+    while !top > 0 do
+      decr top;
+      List.iter
+        (fun c ->
+          if not (Graphlib.Bitvec.get s c) then begin
+            Graphlib.Bitvec.set s c;
+            stack.(!top) <- c;
+            incr top
+          end)
+        links.(stack.(!top))
+    done
   done;
   (* incoherence from concept disjointness: S1, S2 ∈ S(x) with a told NI
      (S1 ⊑ ¬S2) derives ⊥ ∈ S(x) *)
@@ -102,27 +107,16 @@ let classify tbox =
         | _ -> None)
       (Tbox.axioms tbox)
   in
-  let unsat = Array.make n false in
-  for x = 0 to n - 1 do
-    if
-      List.exists
-        (fun (i, j) ->
-          Graphlib.Bitvec.get supers.(x) i && Graphlib.Bitvec.get supers.(x) j)
-        nis
-    then unsat.(x) <- true
-  done;
-  (* x ⊑ y with y unsat: x unsat; one pass suffices because the supers
-     sets are already transitively closed *)
-  let unsat_mask = Graphlib.Bitvec.create n in
-  Array.iteri (fun y u -> if u then Graphlib.Bitvec.set unsat_mask y) unsat;
-  for x = 0 to n - 1 do
-    if not unsat.(x) then
-      if
-        not
-          (Graphlib.Bitvec.is_empty
-             (Graphlib.Bitvec.inter ~a:supers.(x) ~b:unsat_mask))
-      then unsat.(x) <- true
-  done;
+  (* no second pass for x ⊑ y with y unsat: y ∈ S(x) gives S(y) ⊆ S(x),
+     so x already holds y's clashing pair *)
+  let unsat =
+    Array.map
+      (fun s ->
+        List.exists
+          (fun (i, j) -> Graphlib.Bitvec.get s i && Graphlib.Bitvec.get s j)
+          nis)
+      supers
+  in
   let told_role_pairs =
     List.filter_map
       (function

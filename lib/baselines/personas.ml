@@ -109,13 +109,6 @@ let told_subsumer_map tbox =
     a blown per-test budget is treated the same way. *)
 let classify ?deadline persona tbox =
   let started = Unix.gettimeofday () in
-  let check_deadline () =
-    match deadline with
-    | Some d when Unix.gettimeofday () -. started > d -> raise Timed_out
-    | Some _ | None -> ()
-  in
-  let cfg = Owlfrag.Tableau.compile (Owlfrag.Embed.tbox tbox) in
-  let tests = ref 0 in
   (* the deadline is also polled *inside* each tableau run: a single
      hard satisfiability test must not overshoot the wall-clock limit *)
   let expired () =
@@ -123,15 +116,18 @@ let classify ?deadline persona tbox =
     | Some d -> Unix.gettimeofday () -. started > d
     | None -> false
   in
-  let tableau_subsumes c d =
+  let check_deadline () = if expired () then raise Timed_out in
+  let cfg = Owlfrag.Tableau.compile (Owlfrag.Embed.tbox tbox) in
+  let tests = ref 0 in
+  let budget = persona.tableau_budget in
+  (* one tableau run: a blown budget or deadline is a timeout cell *)
+  let tableau run =
     check_deadline ();
     incr tests;
-    match
-      Owlfrag.Tableau.subsumes ~budget:persona.tableau_budget ~deadline:expired cfg
-        c d
-    with
-    | r -> r
-    | exception Owlfrag.Tableau.Budget_exhausted -> raise Timed_out
+    try run () with Owlfrag.Tableau.Budget_exhausted -> raise Timed_out
+  in
+  let tableau_subsumes c d =
+    tableau (fun () -> Owlfrag.Tableau.subsumes ~budget ~deadline:expired cfg c d)
   in
   let signature = Tbox.signature tbox in
   let names = Signature.concepts signature in
@@ -143,17 +139,10 @@ let classify ?deadline persona tbox =
       let table = Hashtbl.create 64 in
       List.iter
         (fun a ->
-          check_deadline ();
-          incr tests;
-          let completion =
-            match
-              Owlfrag.Tableau.root_completion ~budget:persona.tableau_budget
-                ~deadline:expired cfg (Owlfrag.Osyntax.Name a)
-            with
-            | r -> r
-            | exception Owlfrag.Tableau.Budget_exhausted -> raise Timed_out
-          in
-          Hashtbl.replace table a completion)
+          Hashtbl.replace table a
+            (tableau (fun () ->
+                 Owlfrag.Tableau.root_completion ~budget ~deadline:expired cfg
+                   (Owlfrag.Osyntax.Name a))))
         names;
       Some table
     end

@@ -552,27 +552,13 @@ module Subscriber = struct
             | _ -> false)
           | _ -> false)
 
-  let find_primary t =
-    let candidates = List.filter (fun e -> e <> t.self) t.members in
-    let probed = List.map (fun e -> (e, Client.probe_endpoint e)) candidates in
-    match
-      (* a fenced ex-primary still advertises role=primary but its
-         timeline is dead — never follow it *)
-      List.filter
-        (fun (_, st) ->
-          st.Client.es_role = Some "primary" && not st.Client.es_fenced)
-        probed
-      |> List.sort (fun (_, a) (_, b) ->
-             compare b.Client.es_epoch a.Client.es_epoch)
-    with
-    | (ep, _) :: _ -> Some ep
-    | [] -> None
-
   let run t =
     let attempt = ref 0 in
     while not t.stop_requested do
       let connected =
-        match find_primary t with
+        match
+          Client.find_primary (List.filter (fun e -> e <> t.self) t.members)
+        with
         | None -> false
         | Some ep -> (
           (* injected faults and socket deaths end the subscription,

@@ -41,9 +41,6 @@ let get t i =
   let w = i / bits_per_word and b = i mod bits_per_word in
   t.words.(w) land (1 lsl b) <> 0
 
-(** [copy t] is an independent copy of [t]. *)
-let copy t = { length = t.length; words = Array.copy t.words }
-
 (** [union_into ~src ~dst] sets [dst := dst ∪ src].  Returns [true] iff
     [dst] changed.  Both vectors must have the same length. *)
 let union_into ~src ~dst =
@@ -67,9 +64,6 @@ let inter ~a ~b =
     r.words.(w) <- a.words.(w) land b.words.(w)
   done;
   r
-
-(** [is_empty t] is [true] iff no bit is set. *)
-let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
 (** [popcount t] is the number of set bits. *)
 let popcount t =

@@ -23,18 +23,12 @@ val clear : t -> int -> unit
 (** [get t i] is the value of bit [i]. *)
 val get : t -> int -> bool
 
-(** [copy t] is an independent copy of [t]. *)
-val copy : t -> t
-
 (** [union_into ~src ~dst] sets [dst := dst ∪ src]; returns [true] iff
     [dst] changed.  Both vectors must have the same length. *)
 val union_into : src:t -> dst:t -> bool
 
 (** [inter ~a ~b] is a fresh vector holding [a ∩ b]. *)
 val inter : a:t -> b:t -> t
-
-(** [is_empty t] is [true] iff no bit is set. *)
-val is_empty : t -> bool
 
 (** [popcount t] is the number of set bits. *)
 val popcount : t -> int

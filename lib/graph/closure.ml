@@ -1,16 +1,16 @@
 (** Transitive closure of directed graphs.
 
     [compute] is the one materializing closure: Tarjan condensation,
-    then one bottom-up pass over the component DAG unioning descendant
-    bit-sets, then the component rows expanded to node granularity, one
-    row per component that all its members share.  Ontology hierarchies
-    are mostly DAGs with a few equivalence cycles, where this beats
-    per-node search and Warshall by a wide margin (ablation [A1]; both
-    survive as test oracles).  The component pass is level-scheduled and
-    the expansion is a [Parallel.Pool.parallel_for] loop, so the same
-    code runs across a domain pool or inline ([A8]); every row is a pure
-    function of the input graph and lands in its own slot, so the
-    closure is bit-for-bit the same at every pool width.
+    then one bottom-up pass over the component DAG that unions
+    node-level descendant bit-sets, one row per component that all its
+    members share.  Ontology hierarchies are mostly DAGs with a few
+    equivalence cycles, where this beats per-node search and Warshall
+    by a wide margin (ablation [A1]; both survive as test oracles).
+    The pass is level-scheduled, each level a
+    [Parallel.Pool.parallel_for] loop, so the same code runs across a
+    domain pool or inline ([A8]); every row is a pure function of the
+    input graph and lands in its own slot, so the closure is
+    bit-for-bit the same at every pool width.
 
     The [On_demand] module does no precomputation at all: it memoizes
     one per-source DFS row per distinct source queried, for workloads
@@ -19,34 +19,31 @@
     Closures are *reflexive*: every node reaches itself.  This matches
     the logical reading ([T |= S ⊑ S] always holds). *)
 
-(** Materialized closure: [rows.(v)] is the reflexive descendant set of
+(** Materialized closure: [t.(v)] is the reflexive descendant set of
     node [v], physically shared by every member of [v]'s component. *)
-type t = {
-  size : int;
-  rows : Bitvec.t array;
-}
+type t = Bitvec.t array
 
-let size t = t.size
+let size = Array.length
 
 (** [reaches t u v] is [true] iff [v] is a (reflexive) descendant of [u]. *)
 let reaches t u v =
-  if u < 0 || u >= t.size || v < 0 || v >= t.size then
+  if u < 0 || u >= size t || v < 0 || v >= size t then
     invalid_arg "Closure.reaches";
-  Bitvec.get t.rows.(u) v
+  Bitvec.get t.(u) v
 
 (** [descendants t v] is the reflexive descendant set of [v] — shared
     with the other members of [v]'s component, do not mutate. *)
 let descendants t v =
-  if v < 0 || v >= t.size then invalid_arg "Closure.descendants";
-  t.rows.(v)
+  if v < 0 || v >= size t then invalid_arg "Closure.descendants";
+  t.(v)
 
 (** [ancestors t v] is the freshly computed reflexive ancestor set of [v]
     (the column of the closure matrix). *)
 let ancestors t v =
-  if v < 0 || v >= t.size then invalid_arg "Closure.ancestors";
-  let col = Bitvec.create t.size in
-  for u = 0 to t.size - 1 do
-    if Bitvec.get t.rows.(u) v then Bitvec.set col u
+  if v < 0 || v >= size t then invalid_arg "Closure.ancestors";
+  let col = Bitvec.create (size t) in
+  for u = 0 to size t - 1 do
+    if Bitvec.get t.(u) v then Bitvec.set col u
   done;
   col
 
@@ -76,27 +73,22 @@ let compute ?pool g =
   for c = nc - 1 downto 0 do
     buckets.(level.(c)) <- c :: buckets.(level.(c))
   done;
-  let comp_rows = Array.init nc (fun _ -> Bitvec.create nc) in
+  (* Rows live in node space from the start: component [c]'s row holds
+     its members' bits plus its DAG successors' rows, and is shared by
+     every member, so the closure is one nc × n matrix. *)
+  let comp_rows = Array.init nc (fun _ -> Bitvec.create n) in
   Array.iter
     (fun bucket ->
       let bucket = Array.of_list bucket in
       Parallel.Pool.parallel_for pool ~n:(Array.length bucket) (fun i ->
           let c = bucket.(i) in
-          Bitvec.set comp_rows.(c) c;
+          let row = comp_rows.(c) in
+          List.iter (fun v -> Bitvec.set row v) r.Scc.members.(c);
           List.iter
-            (fun c' ->
-              ignore (Bitvec.union_into ~src:comp_rows.(c') ~dst:comp_rows.(c)))
+            (fun c' -> ignore (Bitvec.union_into ~src:comp_rows.(c') ~dst:row))
             (Graph.successors dag c)))
     buckets;
-  (* Expand component reachability back to node granularity, one task
-     per component; the members of a component share its row. *)
-  let comp_node_rows = Array.make nc (Bitvec.create 0) in
-  Parallel.Pool.parallel_for pool ~n:nc (fun c ->
-      let row = Bitvec.create n in
-      Bitvec.iter_set comp_rows.(c) (fun c' ->
-          List.iter (fun v -> Bitvec.set row v) r.Scc.members.(c'));
-      comp_node_rows.(c) <- row);
-  { size = n; rows = Array.init n (fun v -> comp_node_rows.(r.Scc.component.(v))) }
+  Array.init n (fun v -> comp_rows.(r.Scc.component.(v)))
 
 (** Memoized on-demand reachability: computes and caches one DFS row per
     distinct source actually queried. *)

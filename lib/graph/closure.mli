@@ -10,10 +10,11 @@ type t
 val size : t -> int
 
 (** [compute ?pool g] materializes the reflexive transitive closure of
-    [g]: Tarjan condensation, a level-scheduled pass over the component
-    DAG, and one node-level row per component, shared by its members.
-    The pass and the expansion run on [pool] when given and inline
-    otherwise; the closure is identical at every pool width. *)
+    [g]: Tarjan condensation, then a level-scheduled pass over the
+    component DAG that fills one node-level row per component, shared
+    by its members (one nc × n bit matrix).  The pass runs on [pool]
+    when given and inline otherwise; the closure is identical at every
+    pool width. *)
 val compute : ?pool:Parallel.Pool.t -> Graph.t -> t
 
 (** [reaches t u v] is [true] iff [v] is a (reflexive) descendant of

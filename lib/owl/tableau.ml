@@ -51,8 +51,10 @@ type config = {
       (* NNF disjunctions added to every node label *)
   mutable budget : int;
   mutable deadline : (unit -> bool) option;
-      (* polled periodically: [true] means "give up now" — lets callers
-         enforce wall-clock limits without a Unix dependency here *)
+      (* polled on every [spend]: [true] means "give up now" — lets
+         callers enforce wall-clock limits without a Unix dependency
+         here.  One spend can cost ~10 ms (Galen ×0.1), so a clock read
+         per spend is noise *)
 }
 
 (** [compile tbox] preprocesses a TBox into a reusable configuration
@@ -88,13 +90,15 @@ let compile tbox =
     deadline = None;
   }
 
+let poll cfg =
+  match cfg.deadline with
+  | Some expired when expired () -> raise Budget_exhausted
+  | Some _ | None -> ()
+
 let spend cfg =
   cfg.budget <- cfg.budget - 1;
   if cfg.budget <= 0 then raise Budget_exhausted;
-  if cfg.budget land 255 = 0 then
-    match cfg.deadline with
-    | Some expired when expired () -> raise Budget_exhausted
-    | Some _ | None -> ()
+  poll cfg
 
 (* --- neighbour queries ------------------------------------------------ *)
 
@@ -257,7 +261,11 @@ let deterministic_pass cfg st =
   if !additions = [] then None
   else
     Some
-      (List.fold_left (fun st (x, cs) -> add_concepts cfg st x cs) st !additions)
+      (List.fold_left
+         (fun st (x, cs) ->
+           poll cfg; (* not charged: one pass can add for seconds *)
+           add_concepts cfg st x cs)
+         st !additions)
 
 (* Generating pass: fire unwitnessed, unblocked ∃-restrictions.
    Only called when no other rule applies — generating after the

@@ -328,24 +328,30 @@ let note_primary_hint t msg =
        | None -> t.endpoints <- Array.append t.endpoints [| ep |]);
       t.primary <- index_of_endpoint t ep)
 
-(* probe all members and point [active] at the primary with the highest
-   epoch; no-op if none answers as primary (mid-promotion — the caller's
-   backoff will land here again) *)
-let resolve_primary t =
-  let best = ref None in
-  Array.iteri
-    (fun i ep ->
+(** [find_primary members] probes every member and returns the unfenced
+    [role=primary] one with the highest epoch, the first in member order
+    on a tie; [None] if none answers as primary (mid-promotion: the
+    caller backs off and asks again).  A fenced ex-primary still
+    advertises [role=primary] but refuses every write. *)
+let find_primary members =
+  List.fold_left
+    (fun best ep ->
       let st = probe_endpoint ep in
-      (* a fenced ex-primary still advertises role=primary but refuses
-         every write — routing there would wedge the client *)
-      if st.es_role = Some "primary" && not st.es_fenced then
-        match !best with
-        | Some (_, e) when e >= st.es_epoch -> ()
-        | _ -> best := Some (i, st.es_epoch))
-    t.endpoints;
-  match !best with
+      if st.es_role <> Some "primary" || st.es_fenced then best
+      else
+        match best with
+        | Some (_, e) when e >= st.es_epoch -> best
+        | _ -> Some (ep, st.es_epoch))
+    None members
+  |> Option.map fst
+
+(* point [active] at the primary; no-op if none answers as primary *)
+let resolve_primary t =
+  match
+    Option.bind (find_primary (Array.to_list t.endpoints)) (index_of_endpoint t)
+  with
   | None -> ()
-  | Some (i, _) ->
+  | Some i ->
     t.primary <- Some i;
     switch_to t i
 

@@ -48,9 +48,10 @@
     run in parallel.  The session registry and the two service-wide
     caches are guarded by short-lived leaf mutexes of their own (lock
     order: session before cache/stats; the registry lock is never held
-    across an operation).  Cached values shared between sessions
-    (classifications, compiled UCQs) are immutable, so concurrent reads
-    need no lock.
+    across an operation, and over a session lock only while creating
+    that session, when nothing else can hold it).  Cached values shared
+    between sessions (classifications, compiled UCQs) are immutable, so
+    concurrent reads need no lock.
 
     One front door: every mutation and ask arrives as a wire request
     through {!handle} — from the server, the replica applier, recovery
@@ -385,18 +386,75 @@ let fresh_session t name =
 
 (* Registry lookups hold only the (leaf-duration) registry mutex; the
    returned session is then locked by the caller.  LOAD / PREPARE bring
-   sessions into existence; read-only operations on unknown names fail. *)
+   sessions into existence ({!with_session_for_mutation}); read-only
+   operations on unknown names fail. *)
 let find_session t name =
   locked t.registry_mutex (fun () -> Hashtbl.find_opt t.sessions name)
 
-let get_or_create_session t name =
-  locked t.registry_mutex (fun () ->
-      match Hashtbl.find_opt t.sessions name with
-      | Some s -> s
-      | None ->
-        let s = fresh_session t name in
-        Hashtbl.replace t.sessions name s;
+(** [drop_session t ~session] forgets the session entirely (its answer
+    cache goes with it, and that cache's metrics leave the registry;
+    service-wide caches are untouched — their keys are fingerprints,
+    not session names). *)
+let drop_session t ~session:name =
+  match
+    locked t.registry_mutex (fun () ->
+        let s = Hashtbl.find_opt t.sessions name in
+        Hashtbl.remove t.sessions name;
         s)
+  with
+  | None -> ()
+  | Some s -> Lru.unregister s.answers
+
+(* [s] is still the session registered under its name *)
+let registered t s =
+  match find_session t s.sname with Some s' -> s' == s | None -> false
+
+(** [with_session t name f] runs [f s] under the lock of the existing
+    session [name]; a session dropped while [f] waited for its lock (see
+    below) is unknown too. *)
+let with_session t name f =
+  let unknown () = Wire.Err (Printf.sprintf "unknown session %s" name) in
+  match find_session t name with
+  | None -> unknown ()
+  | Some s ->
+    locked s.smutex (fun () -> if registered t s then f s else unknown ())
+
+(** [with_session_for_mutation t name f] runs [f s] under the lock of
+    session [name], created when absent.  A created session is locked
+    before it is registered, so [f] applies its first mutation; if [f]
+    refuses (any reply but OK, or an exception) the session is dropped
+    before its lock is released, leaving no trace in STATS or a
+    snapshot.  A caller that waited on that lock finds the session
+    unregistered and starts over. *)
+let rec with_session_for_mutation t name f =
+  let s, created =
+    locked t.registry_mutex (fun () ->
+        match Hashtbl.find_opt t.sessions name with
+        | Some s -> (s, false)
+        | None ->
+          let s = fresh_session t name in
+          Mutex.lock s.smutex;
+          Hashtbl.replace t.sessions name s;
+          (s, true))
+  in
+  if not created then Mutex.lock s.smutex;
+  if not (created || registered t s) then begin
+    Mutex.unlock s.smutex;
+    with_session_for_mutation t name f
+  end
+  else
+    let refused () = if created then drop_session t ~session:name in
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock s.smutex)
+      (fun () ->
+        match f s with
+        | Wire.Ok _ as reply -> reply
+        | reply ->
+          refused ();
+          reply
+        | exception e ->
+          refused ();
+          raise e)
 
 let session_names t =
   locked t.registry_mutex (fun () ->
@@ -580,7 +638,10 @@ let snapshot_now t =
             ~finally:(fun () ->
               List.iter (fun s -> Mutex.unlock s.smutex) (List.rev sessions))
             (fun () ->
-              let records = List.concat_map dump_session_records sessions in
+              let records =
+                List.concat_map dump_session_records
+                  (List.filter (registered t) sessions)
+              in
               try Durable.Store.write_snapshot store records with
               | Durable.Failpoint.Injected name ->
                 Logs.warn (fun m ->
@@ -608,20 +669,6 @@ let maybe_snapshot t =
     on the request path.  Explicit {!snapshot_now} calls still run
     inline. *)
 let set_snapshot_executor t exec = t.snapshot_exec <- Some exec
-
-(** [drop_session t ~session] forgets the session entirely (its answer
-    cache goes with it, and that cache's metrics leave the registry;
-    service-wide caches are untouched — their keys are fingerprints,
-    not session names). *)
-let drop_session t ~session:name =
-  match
-    locked t.registry_mutex (fun () ->
-        let s = Hashtbl.find_opt t.sessions name in
-        Hashtbl.remove t.sessions name;
-        s)
-  with
-  | None -> ()
-  | Some s -> Lru.unregister s.answers
 
 (* ------------------------------- stats ------------------------------ *)
 
@@ -857,53 +904,41 @@ and handle_checked ~internal t request =
        layer additionally records the granted version per connection *)
     Wire.Ok [ Wire.hello_reply (min v Wire.max_version) ]
   | Wire.Bulk_chunk { session = name; payload } ->
-    let s = get_or_create_session t name in
     let reply =
-      locked s.smutex (fun () ->
+      with_session_for_mutation t name (fun s ->
           timed t "bulk" (fun () -> handle_bulk_chunk ~log t s payload))
     in
     maybe_snapshot t;
     reply
-  | Wire.Bulk_end { session = name } -> (
-    match find_session t name with
-    | None -> Wire.Err (Printf.sprintf "unknown session %s" name)
-    | Some s ->
-      locked s.smutex (fun () ->
-          timed t "bulk" (fun () ->
-              match close_bulk s with
-              | None -> Wire.Err "no active bulk load"
-              | Some b ->
-                Wire.Ok [ Printf.sprintf "chunks %d facts %d" b.chunks b.facts ])))
-  | Wire.Bulk_abort { session = name } -> (
-    match find_session t name with
-    | None -> Wire.Err (Printf.sprintf "unknown session %s" name)
-    | Some s ->
-      (* idempotent: ABORT with nothing in flight is fine *)
-      locked s.smutex (fun () ->
-          timed t "bulk" (fun () ->
-              ignore (close_bulk s);
-              Wire.Ok [])))
+  | Wire.Bulk_end { session = name } ->
+    with_session t name (fun s ->
+        timed t "bulk" (fun () ->
+            match close_bulk s with
+            | None -> Wire.Err "no active bulk load"
+            | Some b ->
+              Wire.Ok [ Printf.sprintf "chunks %d facts %d" b.chunks b.facts ]))
+  | Wire.Bulk_abort { session = name } ->
+    (* idempotent: ABORT with nothing in flight is fine *)
+    with_session t name (fun s ->
+        timed t "bulk" (fun () ->
+            ignore (close_bulk s);
+            Wire.Ok []))
   | Wire.Load { session = name; kind; payload } ->
-    let s = get_or_create_session t name in
     let reply =
-      locked s.smutex (fun () ->
+      with_session_for_mutation t name (fun s ->
           timed t "load" (fun () -> handle_load ~log t s kind payload))
     in
     maybe_snapshot t;
     reply
-  | Wire.Classify { session = name } -> (
-    match find_session t name with
-    | None -> Wire.Err (Printf.sprintf "unknown session %s" name)
-    | Some s ->
-      locked s.smutex (fun () ->
-          timed t "classify" (fun () ->
-              let cls = op_classification t s in
-              Wire.Ok
-                (List.map Quonto.Classify.line (Quonto.Classify.name_level cls)))))
+  | Wire.Classify { session = name } ->
+    with_session t name (fun s ->
+        timed t "classify" (fun () ->
+            let cls = op_classification t s in
+            Wire.Ok
+              (List.map Quonto.Classify.line (Quonto.Classify.name_level cls))))
   | Wire.Prepare { session = name; name = qname; query } ->
-    let s = get_or_create_session t name in
     let reply =
-      locked s.smutex (fun () ->
+      with_session_for_mutation t name (fun s ->
           timed t "prepare" (fun () ->
               match parse_query s query with
               | Result.Error e -> Wire.Err ("query: " ^ e)
@@ -918,11 +953,8 @@ and handle_checked ~internal t request =
     in
     maybe_snapshot t;
     reply
-  | Wire.Ask { session = name; query } -> (
-    match find_session t name with
-    | None -> Wire.Err (Printf.sprintf "unknown session %s" name)
-    | Some s ->
-      locked s.smutex (fun () -> timed t "ask" (fun () -> handle_ask t s query)))
+  | Wire.Ask { session = name; query } ->
+    with_session t name (fun s -> timed t "ask" (fun () -> handle_ask t s query))
   | Wire.Stats filter ->
     timed t "stats" (fun () -> Wire.Ok (stats_lines ?session:filter t))
   | Wire.Metrics -> timed t "metrics" (fun () -> Wire.Ok (metrics_lines t))

@@ -96,6 +96,17 @@ let prop_cb_concepts_match_quonto_positive =
       let cls = Classify.classify t in
       Cb.concept_hierarchy cb = List.sort compare (Classify.concept_hierarchy cls))
 
+let test_cb_figure1_profiles () =
+  (* the Figure-1 shapes have deep told chains, which the small random
+     TBoxes above never reach *)
+  List.iter
+    (fun profile ->
+      let t = Ontgen.Generator.generate (Ontgen.Generator.scale 0.02 profile) in
+      let t = Tbox.of_axioms (List.filter Syntax.is_positive (Tbox.axioms t)) in
+      Alcotest.check pairs profile.Ontgen.Generator.label (quonto_concept_pairs t)
+        (Cb.concept_hierarchy (Cb.classify t)))
+    Ontgen.Profiles.figure1
+
 (* ------------------------------ personas ----------------------------- *)
 
 let all_personas = [ Personas.pellet; Personas.fact_plus_plus; Personas.hermit ]
@@ -166,6 +177,21 @@ let test_persona_timeout () =
   | _ -> Alcotest.fail "expected timeout on Galen-like profile"
   | exception Personas.Timed_out -> ()
 
+let test_persona_timeout_stops () =
+  (* the deadline stops the work, not just the verdict: every persona
+     raises within a second of a 1 s deadline *)
+  let t = Ontgen.Generator.generate (Ontgen.Generator.scale 0.1 Ontgen.Profiles.galen) in
+  List.iter
+    (fun persona ->
+      let t0 = Unix.gettimeofday () in
+      (match Personas.classify ~deadline:1.0 persona t with
+       | _ -> Alcotest.failf "%s: expected a timeout" persona.Personas.name
+       | exception Personas.Timed_out -> ());
+      let elapsed = Unix.gettimeofday () -. t0 in
+      if elapsed > 2.0 then
+        Alcotest.failf "%s: Timed_out after %.2fs" persona.Personas.name elapsed)
+    all_personas
+
 let prop_personas_match_quonto =
   QCheck.Test.make ~count:25 ~name:"tableau personas = digraph classification"
     Ontgen.Qgen.arbitrary_tbox (fun axioms ->
@@ -194,6 +220,8 @@ let () =
           Alcotest.test_case "concept hierarchy" `Quick test_cb_concept_hierarchy;
           Alcotest.test_case "role hierarchy incomplete" `Quick
             test_cb_role_hierarchy_incomplete;
+          Alcotest.test_case "Figure-1 profiles = digraph (positive part)" `Quick
+            test_cb_figure1_profiles;
           QCheck_alcotest.to_alcotest prop_cb_concepts_match_quonto_positive;
         ] );
       ( "personas",
@@ -203,6 +231,8 @@ let () =
           Alcotest.test_case "enhanced traversal" `Quick
             test_enhanced_traversal_fewer_tests;
           Alcotest.test_case "timeout" `Slow test_persona_timeout;
+          Alcotest.test_case "timeout stops at the deadline" `Slow
+            test_persona_timeout_stops;
           QCheck_alcotest.to_alcotest prop_personas_match_quonto;
         ] );
     ]

@@ -818,6 +818,91 @@ let test_service_wal_refusal_survives_restart () =
    | _ -> Alcotest.fail "ask");
   Store.close store
 
+(* a refused first mutation leaves no session behind: not live, not in
+   STATS, not in a snapshot, not after recovery *)
+let mentions_session name lines =
+  List.exists
+    (fun line ->
+      List.exists
+        (fun label -> label = "session=" ^ name)
+        (String.split_on_char ','
+           (match String.split_on_char ' ' line with _ :: l :: _ -> l | _ -> "")))
+    lines
+
+let test_refused_first_mutation ~group_commit () =
+  Failpoint.disarm_all ();
+  Fun.protect ~finally:Failpoint.disarm_all @@ fun () ->
+  let dir = fresh_dir () in
+  let store, _ = open_ok ~group_commit dir in
+  let service = Service.create ~config:{ Service.Config.default with lru = 8 } ~registry:(registry ()) () in
+  Service.attach_store service store;
+  apply_all service [ m_load "TBOX" [ "concept A" ] ];
+  let refused what request =
+    match Service.handle service request with
+    | Wire.Err _ -> ()
+    | _ -> Alcotest.failf "%s must be refused" what
+  in
+  Failpoint.arm "wal.append.before_fsync" Failpoint.Inject_error;
+  refused "WAL-refused TBOX"
+    (Wire.Load { session = "t"; kind = Wire.K_tbox; payload = [ "concept B" ] });
+  Failpoint.disarm_all ();
+  refused "malformed TBOX"
+    (Wire.Load { session = "u"; kind = Wire.K_tbox; payload = [ "A [= [=" ] });
+  refused "malformed PREPARE"
+    (Wire.Prepare { session = "u"; name = "q"; query = "x <- " });
+  refused "malformed BULK chunk"
+    (Wire.Bulk_chunk { session = "u"; payload = [ "not a fact" ] });
+  Alcotest.(check (list string)) "live sessions" [ "s" ] (Service.session_names service);
+  (match Service.handle service (Wire.Stats None) with
+   | Wire.Ok lines ->
+     Alcotest.(check bool) "STATS names no refused session" false
+       (mentions_session "t" lines || mentions_session "u" lines)
+   | _ -> Alcotest.fail "stats");
+  Service.snapshot_now service;
+  Store.close store;
+  let store, r = open_ok ~group_commit dir in
+  let recovered = Service.create ~config:{ Service.Config.default with lru = 8 } ~registry:(registry ()) () in
+  (match Service.restore recovered r.Store.mutations with
+   | Result.Ok _ -> ()
+   | Result.Error e -> Alcotest.fail e);
+  Alcotest.(check (list string)) "recovered sessions" [ "s" ]
+    (Service.session_names recovered);
+  Store.close store
+
+(* two first loads racing on one fresh session both land, also when a
+   refused one may have created the session first *)
+let test_racing_first_loads () =
+  let service = Service.create ~config:{ Service.Config.default with lru = 8 } ~registry:(registry ()) () in
+  for i = 1 to 50 do
+    let session = Printf.sprintf "r%d" i in
+    let load fact () =
+      match
+        Service.handle service
+          (Wire.Load { session; kind = Wire.K_facts; payload = [ fact ] })
+      with
+      | Wire.Ok _ -> ()
+      | _ -> Alcotest.fail "first FACTS load refused"
+    in
+    let malformed () =
+      ignore
+        (Service.handle service
+           (Wire.Load { session; kind = Wire.K_tbox; payload = [ "A [= [=" ] }))
+    in
+    let threads =
+      Thread.create malformed ()
+      :: List.map (fun f -> Thread.create (load f) ())
+           [ "src(\"a\")"; "src(\"b\")" ]
+    in
+    List.iter Thread.join threads;
+    match Service.handle service (Wire.Stats (Some session)) with
+    | Wire.Ok lines ->
+      Alcotest.(check bool) (session ^ " holds both rows") true
+        (List.mem
+           (Printf.sprintf "obda_session_facts session=%s 2" session)
+           lines)
+    | _ -> Alcotest.fail "stats"
+  done
+
 (* -------------------------------- suite ------------------------------ *)
 
 let () =
@@ -871,6 +956,13 @@ let () =
             test_service_wal_refusal_is_err;
           Alcotest.test_case "WAL refusal survives restart" `Quick
             test_service_wal_refusal_survives_restart;
+          Alcotest.test_case "refused first mutation leaves no session" `Quick
+            (test_refused_first_mutation ~group_commit:false);
+          Alcotest.test_case "group commit refused first mutation leaves no session"
+            `Quick
+            (test_refused_first_mutation ~group_commit:true);
+          Alcotest.test_case "racing first loads both land" `Quick
+            test_racing_first_loads;
         ] );
       ( "crash-property",
         [

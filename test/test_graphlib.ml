@@ -58,7 +58,7 @@ let test_bitvec_bounds () =
 let test_bitvec_empty () =
   let v = Bitvec.create 0 in
   Alcotest.(check int) "zero length" 0 (Bitvec.length v);
-  Alcotest.(check bool) "empty" true (Bitvec.is_empty v)
+  Alcotest.(check int) "empty" 0 (Bitvec.popcount v)
 
 (* ------------------------------- graph ------------------------------- *)
 
