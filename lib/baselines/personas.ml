@@ -160,21 +160,17 @@ let classify ?deadline persona tbox =
           names
       else []
   in
-  let is_unsat a = List.mem a unsat_names in
+  let unsat = Hashtbl.of_seq (List.to_seq (List.map (fun a -> (a, ())) unsat_names)) in
+  let is_unsat = Hashtbl.mem unsat in
   let subsumes_names a b =
     if a = b then true
     else if is_unsat a then true
     else if persona.told_subsumers && List.mem b (told a) then true
     else
-      match model_cache with
-      | Some table -> (
-        match Hashtbl.find_opt table a with
-        | Some (Some label) ->
-          List.exists
-            (function Owlfrag.Osyntax.Name b' -> b' = b | _ -> false)
-            label
-        | Some None -> true (* unsatisfiable name *)
-        | None -> tableau_subsumes (Owlfrag.Osyntax.Name a) (Owlfrag.Osyntax.Name b))
+      match Option.bind model_cache (fun table -> Hashtbl.find_opt table a) with
+      | Some (Some label) ->
+        List.exists (function Owlfrag.Osyntax.Name b' -> b' = b | _ -> false) label
+      | Some None -> true (* unsatisfiable name *)
       | None -> tableau_subsumes (Owlfrag.Osyntax.Name a) (Owlfrag.Osyntax.Name b)
   in
   let concept_pairs =
@@ -182,6 +178,7 @@ let classify ?deadline persona tbox =
     | Brute_force ->
       List.concat_map
         (fun a ->
+          check_deadline (); (* unsat and told rows run no tableau test *)
           List.filter_map
             (fun b -> if a <> b && subsumes_names a b then Some (a, b) else None)
             names)
@@ -202,11 +199,6 @@ let classify ?deadline persona tbox =
         let prev = Option.value ~default:[] (Hashtbl.find_opt supers x) in
         if not (List.mem b prev) then Hashtbl.replace supers x (b :: prev)
       in
-      let rec descendants acc b =
-        List.fold_left
-          (fun acc c -> if List.mem c acc then acc else descendants (c :: acc) c)
-          acc (kids b)
-      in
       let insert a =
         (* top search: all subsumers of [a] among inserted names *)
         let found = Hashtbl.create 16 in
@@ -223,16 +215,18 @@ let classify ?deadline persona tbox =
         (* bottom search: subsumees of [a]; once a node tests positive,
            all its taxonomy descendants follow for free *)
         let below = Hashtbl.create 16 in
+        let rec mark d =
+          if not (Hashtbl.mem below d) then begin
+            Hashtbl.replace below d ();
+            List.iter mark (kids d)
+          end
+        in
         let seen = Hashtbl.create 16 in
         let rec visit_down b =
           if not (Hashtbl.mem seen b) then begin
             Hashtbl.replace seen b ();
             check_deadline ();
-            if subsumes_names b a then
-              List.iter
-                (fun d -> Hashtbl.replace below d ())
-                (b :: descendants [] b)
-            else List.iter visit_down (kids b)
+            if subsumes_names b a then mark b else List.iter visit_down (kids b)
           end
         in
         List.iter visit_down !roots;
@@ -284,8 +278,10 @@ let classify ?deadline persona tbox =
           role_names)
       role_names
   in
+  let concept_pairs = List.sort_uniq compare concept_pairs in
+  check_deadline (); (* finishing past the deadline is a timeout too *)
   {
-    concept_pairs = List.sort_uniq compare concept_pairs;
+    concept_pairs;
     role_pairs = List.sort compare role_pairs;
     unsat_names;
     subsumption_tests = !tests;
