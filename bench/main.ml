@@ -637,18 +637,21 @@ let rewrite_bench ~module_scale () =
 (* A16: the classification layers of ontology-edit's TBox load         *)
 (* ------------------------------------------------------------------ *)
 
-(* ontology-edit's base TBox (the university TBox plus the Galen module
-   at [module_scale], seed 0x6A1E), from its wire text through
-   classification and its encode/closure/unsat layers to the name-level
-   reply and both taxonomies; writes BENCH_classify.json *)
-let classify_bench ~module_scale () =
+(* ontology-edit's base TBox: the university TBox plus the Galen module
+   at [module_scale], seed 0x6A1E *)
+let ontology_edit_tbox ~module_scale =
   let module_tbox =
     Ontgen.Generator.generate ~seed:0x6A1E ~prefix:"g"
       (Ontgen.Generator.scale module_scale Ontgen.Profiles.galen)
   in
+  Tbox.union Ontgen.Datagen.university_tbox module_tbox
+
+(* ontology-edit's base TBox, from its wire text through classification
+   and its encode/closure/unsat layers to the name-level reply and both
+   taxonomies; writes BENCH_classify.json *)
+let classify_bench ~module_scale () =
   let text =
-    String.concat "\n"
-      (Server.Service.tbox_payload (Tbox.union Ontgen.Datagen.university_tbox module_tbox))
+    String.concat "\n" (Server.Service.tbox_payload (ontology_edit_tbox ~module_scale))
   in
   let time f =
     Gc.compact ();
@@ -872,6 +875,7 @@ let sweep_targets = [ 10_000; 100_000; 1_000_000 ]
 
 let serve_sweep ~sweep_max buf =
   Printf.printf "== A12: cold eval scale sweep, naive vs indexed executor ==\n";
+  let largest_taught_attended = ref None in
   Printf.printf "%-10s %-18s %8s %12s %12s %9s %6s\n" "tuples" "query" "answers"
     "naive p95" "indexed p95" "speedup" "agree";
   Buffer.add_string buf ",\n  \"sweep\": [\n";
@@ -908,7 +912,10 @@ let serve_sweep ~sweep_max buf =
             let agree =
               List.sort compare (indexed ()) = List.sort compare (naive ())
             in
-            let answers = List.length (indexed ()) in
+            let answer = indexed () in
+            let answers = List.length answer in
+            if name = "taught-attended" then
+              largest_taught_attended := Some (tuples, answer);
             let naive_samples = ref [] and indexed_samples = ref [] in
             for round = 1 to rounds do
               Obda.Database.insert db "t_update_log"
@@ -953,7 +960,94 @@ let serve_sweep ~sweep_max buf =
     (Printf.sprintf
        ",\n  \"join_strategies\": {\"nested_loop\": %d, \"hash\": %d, \
         \"index_probes\": %d, \"index_builds\": %d}"
-       nested hash probes builds)
+       nested hash probes builds);
+  !largest_taught_attended
+
+(* The reply path's wire layers alone, on two large replies: the
+   taught-attended answer at the largest sweep point run (what
+   join-update's refresh sends) and the CLASSIFY reply of
+   ontology-edit's base TBox (~182k lines).  [frame] is the framed
+   buffer of the reply ([Durable.Io.frame_lines] of its encoding);
+   [round_trip] writes the reply with [Durable.Io.write_lines] on one
+   end of a Unix socketpair while the other end reads its header and
+   payload back with [Durable.Io.read_lines], as [Client] does.  p50
+   over [reply_repeats] runs, each after a full major collection;
+   [agree] holds when every read-back payload equals the sent one. *)
+let reply_repeats = 7
+
+let reply_round_trip lines =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close a;
+      Unix.close b)
+    (fun () ->
+      let reader = Durable.Io.reader b and max_line = Server.Client.max_reply_line in
+      let writer =
+        Thread.create
+          (fun () ->
+            Durable.Io.write_lines a (Server.Wire.encode_reply (Server.Wire.Ok lines)))
+          ()
+      in
+      let payload =
+        match Durable.Io.read_line reader ~max_line with
+        | None -> None
+        | Some header -> (
+          match Server.Wire.parse_reply_header header with
+          | Result.Ok (`Ok n) -> Durable.Io.read_lines reader ~max_line n
+          | _ -> None)
+      in
+      Thread.join writer;
+      payload = Some lines)
+
+let serve_reply ~taught_attended buf =
+  Printf.printf "== reply path: frame, then write + read back over a socketpair ==\n";
+  Printf.printf "%-18s %9s %10s %12s %14s %6s\n" "reply" "lines" "bytes" "frame p50"
+    "round trip p50" "agree";
+  let classify_lines =
+    let cls =
+      Quonto.Classify.classify (ontology_edit_tbox ~module_scale:0.03)
+    in
+    List.map Quonto.Classify.line (Quonto.Classify.name_level cls)
+  in
+  let replies =
+    (match taught_attended with
+     | Some (tuples, answer) ->
+       [ (Printf.sprintf "taught-attended@%d" tuples,
+          List.map Server.Service.render_tuple (Obda.Cq.sort_answers answer)) ]
+     | None -> [])
+    @ [ ("classify", classify_lines) ]
+  in
+  let rows =
+    List.map
+      (fun (name, lines) ->
+        let frame = ref [] and round_trip = ref [] and agree = ref true in
+        for _ = 1 to reply_repeats do
+          Gc.full_major ();
+          let framed, tf =
+            timeit (fun () ->
+                Durable.Io.frame_lines (Server.Wire.encode_reply (Server.Wire.Ok lines)))
+          in
+          frame := tf :: !frame;
+          Gc.full_major ();
+          let ok, tr = timeit (fun () -> reply_round_trip lines) in
+          round_trip := tr :: !round_trip;
+          if not ok then agree := false;
+          ignore (Sys.opaque_identity framed)
+        done;
+        let df = dist_of !frame and dr = dist_of !round_trip in
+        let bytes = List.fold_left (fun n l -> n + String.length l + 1) 0 lines in
+        Printf.printf "%-18s %9d %10d %10.3fms %12.3fms %6b\n%!" name
+          (List.length lines) bytes (1000. *. df.p50_s) (1000. *. dr.p50_s) !agree;
+        Printf.sprintf
+          "    {\"name\": %S, \"lines\": %d, \"bytes\": %d, \"repeats\": %d, \
+           \"frame_p50_ms\": %.3f, \"round_trip_p50_ms\": %.3f, \"agree\": %b}"
+          name (List.length lines) bytes reply_repeats (1000. *. df.p50_s)
+          (1000. *. dr.p50_s) !agree)
+      replies
+  in
+  Buffer.add_string buf
+    (Printf.sprintf ",\n  \"reply\": [\n%s\n  ]" (String.concat ",\n" rows))
 
 (* The incremental answer cache, measured at each sweep point: an ask
    whose cached answer is refreshed by delta after k one-row FACTS loads,
@@ -1227,7 +1321,8 @@ let serve_bench ~lru ~persons ~sweep_max () =
        (json_of_dist c) (json_of_dist w)
        (if w.p50_s > 0. then c.p50_s /. w.p50_s else infinity)
        cold_rps warm_rps warm_below_cold rewrite_rate classify_rate phases_json);
-  serve_sweep ~sweep_max buf;
+  let taught_attended = serve_sweep ~sweep_max buf in
+  serve_reply ~taught_attended buf;
   serve_incremental ~sweep_max buf;
   Buffer.add_string buf "\n}\n";
   let oc = open_out "BENCH_serve.json" in

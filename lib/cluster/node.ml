@@ -251,10 +251,7 @@ let subscribe t ~fence ~epoch ~fd ~reader =
         (if upstream = "" then "not a primary"
          else Printf.sprintf "not a primary; primary is %s" upstream)
     in
-    (try
-       Io.write_string fd
-         (String.concat ""
-            (List.map (fun l -> l ^ "\n") (Wire.encode_reply reply)))
+    (try Io.write_lines fd (Wire.encode_reply reply)
      with Unix.Unix_error _ -> ())
 
 (** The hook record handed to {!Serve.create}. *)

@@ -35,21 +35,11 @@ let max_line = 1 lsl 20
    carried in the frame header so empty lines survive the round trip *)
 let payload_lines payload = String.split_on_char '\n' payload
 
+(* a frame header and its payload lines go out in one framed write, so
+   an armed [partial:K] failpoint tears the frame exactly as it would a
+   single write of its bytes *)
 let write_frame ?failpoint fd frame lines =
-  let text =
-    String.concat "" (List.map (fun l -> l ^ "\n") (Wire.encode_frame frame :: lines))
-  in
-  Io.write_string ?failpoint fd text
-
-let read_n_lines reader n =
-  let rec go k acc =
-    if k = 0 then Some (List.rev acc)
-    else
-      match Io.read_line reader ~max_line with
-      | None -> None
-      | Some l -> go (k - 1) (l :: acc)
-  in
-  go n []
+  Io.write_lines ?failpoint fd (Wire.encode_frame frame :: lines)
 
 (* ------------------------------- hub --------------------------------- *)
 
@@ -282,9 +272,7 @@ module Hub = struct
       the subscription ends (socket death, NACK, drop). *)
   let subscribe t ~fence ~epoch ~fd ~reader =
     let send_reply reply =
-      try Io.write_string fd
-            (String.concat ""
-               (List.map (fun l -> l ^ "\n") (Wire.encode_reply reply)))
+      try Io.write_lines fd (Wire.encode_reply reply)
       with Unix.Unix_error _ | Failpoint.Injected _ -> ()
     in
     let my_epoch = t.epoch () in
@@ -474,7 +462,7 @@ module Subscriber = struct
           match Wire.parse_frame line with
           | Result.Error e -> Log.warn (fun f -> f "subscriber: %s" e)
           | Result.Ok (Wire.F_record { seq; epoch; count }) -> (
-            match read_n_lines reader count with
+            match Io.read_lines reader ~max_line count with
             | None -> ()
             | Some lines ->
               let my_epoch = t.epoch () in
@@ -502,7 +490,7 @@ module Subscriber = struct
                 | Some line -> (
                   match Wire.parse_frame line with
                   | Result.Ok (Wire.F_state { count }) -> (
-                    match read_n_lines reader count with
+                    match Io.read_lines reader ~max_line count with
                     | None -> None
                     | Some lines ->
                       read_state (k - 1) (String.concat "\n" lines :: acc))

@@ -10,7 +10,15 @@
 
     Write sites may name a {!Failpoint}: an armed [partial:K] then
     persists exactly [K] bytes of the in-flight write before crashing —
-    the deterministic torn-write producer the recovery tests rely on. *)
+    the deterministic torn-write producer the recovery tests rely on.
+
+    Line framing has one writer and one reader here.  {!write_lines}
+    frames a whole reply or replication frame into one exact-size buffer
+    and writes it once; {!read_line} cuts a line that lies whole in the
+    buffer with one [Bytes.sub_string] and falls back to a byte loop
+    only for a line that straddles a refill, ends in CR, runs past
+    [max_line] or is the stream's unterminated last line.
+    {!read_lines} reads a counted payload. *)
 
 let rec retry f =
   try f () with Unix.Unix_error (Unix.EINTR, _, _) -> retry f
@@ -43,6 +51,28 @@ let write_all ?failpoint fd bytes ~pos ~len =
 let write_string ?failpoint fd s =
   write_all ?failpoint fd (Bytes.unsafe_of_string s) ~pos:0
     ~len:(String.length s)
+
+(** [frame_lines lines] — each line followed by ['\n'], in one buffer of
+    exactly the framed size. *)
+let frame_lines lines =
+  let size = List.fold_left (fun n l -> n + String.length l + 1) 0 lines in
+  let buf = Bytes.create size in
+  let pos = ref 0 in
+  List.iter
+    (fun l ->
+      let n = String.length l in
+      Bytes.blit_string l 0 buf !pos n;
+      Bytes.set buf (!pos + n) '\n';
+      pos := !pos + n + 1)
+    lines;
+  buf
+
+(** [write_lines ?failpoint fd lines] writes [lines], each terminated by
+    ['\n'], with one {!write_all} — the wire framing of every reply and
+    replication frame. *)
+let write_lines ?failpoint fd lines =
+  let buf = frame_lines lines in
+  write_all ?failpoint fd buf ~pos:0 ~len:(Bytes.length buf)
 
 (** [fsync ?failpoint fd] — [check]s the failpoint (a [crash] armed
     here dies {e before} the data is known durable), then syncs. *)
@@ -130,13 +160,8 @@ let refill r =
     if n = 0 then r.eof <- true
   end
 
-(** [read_line r ~max_line] — the next ['\n']-terminated line, without
-    its terminator; a CR directly before the newline is stripped (CRLF
-    clients), any other CR is content.  A line longer than [max_line]
-    is consumed to its newline but truncated to [max_line + 1] bytes —
-    enough for the wire decoder's length check to report it.  [None] at
-    end of stream (a final unterminated line is returned first). *)
-let read_line r ~max_line =
+(* the byte-at-a-time reader: every case the fast path below declines *)
+let read_line_slow r ~max_line =
   let acc = Buffer.create 128 in
   let add c = if Buffer.length acc <= max_line then Buffer.add_char acc c in
   let rec go ~pending_cr =
@@ -160,3 +185,43 @@ let read_line r ~max_line =
         go ~pending_cr:false
   in
   go ~pending_cr:false
+
+(* the first ['\n'] in the valid range [[lo, hi)], or [-1]; the bytes
+   past [hi] are stale *)
+let newline_index r =
+  let rec scan i =
+    if i >= r.hi then -1
+    else if Bytes.unsafe_get r.buf i = '\n' then i
+    else scan (i + 1)
+  in
+  scan r.lo
+
+(** [read_line r ~max_line] — the next ['\n']-terminated line, without
+    its terminator; a CR directly before the newline is stripped (CRLF
+    clients), any other CR is content.  A line longer than [max_line]
+    is consumed to its newline but truncated to [max_line + 1] bytes —
+    enough for the wire decoder's length check to report it.  [None] at
+    end of stream (a final unterminated line is returned first). *)
+let read_line r ~max_line =
+  if r.lo >= r.hi then refill r;
+  let nl = newline_index r in
+  if nl >= 0 && nl - r.lo <= max_line
+     && (nl = r.lo || Bytes.get r.buf (nl - 1) <> '\r')
+  then begin
+    let line = Bytes.sub_string r.buf r.lo (nl - r.lo) in
+    r.lo <- nl + 1;
+    Some line
+  end
+  else read_line_slow r ~max_line
+
+(** [read_lines r ~max_line n] — the next [n] lines, as {!read_line}
+    reads them; [None] if the stream ends first. *)
+let read_lines r ~max_line n =
+  let rec go k acc =
+    if k = 0 then Some (List.rev acc)
+    else
+      match read_line r ~max_line with
+      | None -> None
+      | Some line -> go (k - 1) (line :: acc)
+  in
+  go n []

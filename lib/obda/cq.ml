@@ -753,18 +753,15 @@ let sort_answers tuples = List.sort_uniq compare_tuple tuples
 (** [merge_answers old fresh] — the canonical union of two canonical
     answer lists, in one linear pass.  The part of [old] past the last
     tuple of [fresh] is shared, not copied. *)
-let merge_answers old fresh =
-  let rec go acc old fresh =
-    match (old, fresh) with
-    | _, [] -> List.rev_append acc old
-    | [], _ -> List.rev_append acc fresh
-    | o :: os, f :: fs ->
-      let c = compare_tuple o f in
-      if c < 0 then go (o :: acc) os fresh
-      else if c > 0 then go (f :: acc) old fs
-      else go (o :: acc) os fs
-  in
-  go [] old fresh
+let[@tail_mod_cons] rec merge_answers old fresh =
+  match (old, fresh) with
+  | _, [] -> old
+  | [], _ -> fresh
+  | o :: os, f :: fs ->
+    let c = compare_tuple o f in
+    if c < 0 then o :: merge_answers os fresh
+    else if c > 0 then f :: merge_answers old fs
+    else o :: merge_answers os fs
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)

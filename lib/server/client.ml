@@ -152,9 +152,9 @@ let close t = drop_conn t
 
 (* -------------------------- one raw exchange ------------------------- *)
 
+(* one framed write per request; a BULK chunk's lines go out in it too *)
 let send_conn conn lines =
-  let text = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
-  match Durable.Io.write_string conn.fd text with
+  match Durable.Io.write_lines conn.fd lines with
   | () -> Result.Ok ()
   | exception Unix.Unix_error (e, fn, _) ->
     Result.Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
@@ -172,14 +172,9 @@ let read_reply_conn conn =
     | Result.Ok `Busy -> Result.Ok Wire.Busy
     | Result.Ok (`Err m) -> Result.Ok (Wire.Err m)
     | Result.Ok (`Ok n) -> (
-      let rec collect k acc =
-        if k = 0 then Result.Ok (Wire.Ok (List.rev acc))
-        else
-          match Durable.Io.read_line conn.reader ~max_line:max_reply_line with
-          | None -> Result.Error "truncated reply payload"
-          | Some line -> collect (k - 1) (line :: acc)
-      in
-      collect n []))
+      match Durable.Io.read_lines conn.reader ~max_line:max_reply_line n with
+      | Some lines -> Result.Ok (Wire.Ok lines)
+      | None -> Result.Error "truncated reply payload"))
 
 (* one blocking request/reply on a raw connection, bypassing the retry
    machinery — used for HELLO replay and endpoint probing *)

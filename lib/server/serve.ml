@@ -203,12 +203,8 @@ let dispatch t request =
 
 (* --------------------------- connections ---------------------------- *)
 
-let send_reply fd reply =
-  let text =
-    String.concat ""
-      (List.map (fun line -> line ^ "\n") (Wire.encode_reply reply))
-  in
-  Durable.Io.write_string fd text
+(* one framed write per reply: header and payload lines in one buffer *)
+let send_reply fd reply = Durable.Io.write_lines fd (Wire.encode_reply reply)
 
 let forget_conn t fd =
   Mutex.lock t.mutex;

@@ -379,10 +379,7 @@ let fake_member ~sock ~status_line ~accept_promote =
   let serve_conn fd =
     let reader = Durable.Io.reader fd in
     let send lines =
-      try
-        Durable.Io.write_string fd
-          (String.concat "" (List.map (fun l -> l ^ "\n") lines))
-      with Unix.Unix_error _ -> ()
+      try Durable.Io.write_lines fd lines with Unix.Unix_error _ -> ()
     in
     let rec go () =
       match Durable.Io.read_line reader ~max_line:4096 with

@@ -903,11 +903,156 @@ let test_racing_first_loads () =
     | _ -> Alcotest.fail "stats"
   done
 
+(* ------------------------------ line I/O ----------------------------- *)
+
+(* The byte-at-a-time line reader that [Io.read_line] was before it
+   gained its one-copy fast path, run over a string: the oracle for the
+   fast path and its fallback.  A CR directly before a newline is
+   stripped, a line past [max_line] is cut to [max_line + 1] bytes, a
+   final unterminated line still counts. *)
+let oracle_lines ~max_line s =
+  let n = String.length s and pos = ref 0 in
+  let read_line () =
+    let acc = Buffer.create 16 in
+    let add c = if Buffer.length acc <= max_line then Buffer.add_char acc c in
+    let rec go ~pending_cr =
+      if !pos >= n then begin
+        if pending_cr then add '\r';
+        if Buffer.length acc = 0 then None else Some (Buffer.contents acc)
+      end
+      else begin
+        let c = s.[!pos] in
+        incr pos;
+        match c with
+        | '\n' -> Some (Buffer.contents acc)
+        | '\r' ->
+          if pending_cr then add '\r';
+          go ~pending_cr:true
+        | c ->
+          if pending_cr then add '\r';
+          add c;
+          go ~pending_cr:false
+      end
+    in
+    go ~pending_cr:false
+  in
+  let rec all acc =
+    match read_line () with None -> List.rev acc | Some l -> all (l :: acc)
+  in
+  all []
+
+(* [s] sent over a socketpair by a writer thread in chunks of the given
+   sizes (cycled), then the write side shut down; [f] reads the other
+   end through a 7-byte reader, so lines straddle refills *)
+let with_chunked_stream s chunks f =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let sizes = Array.of_list (if chunks = [] then [ 1 ] else chunks) in
+  let writer () =
+    let rec go pos k =
+      if pos < String.length s then begin
+        let len = min (String.length s - pos) sizes.(k mod Array.length sizes) in
+        Io.write_string a (String.sub s pos len);
+        go (pos + len) (k + 1)
+      end
+    in
+    go 0 0;
+    Unix.shutdown a Unix.SHUTDOWN_SEND
+  in
+  let th = Thread.create writer () in
+  Fun.protect
+    ~finally:(fun () ->
+      Thread.join th;
+      Unix.close a;
+      Unix.close b)
+    (fun () -> f (Io.reader ~buf_size:7 b))
+
+let read_to_end ~max_line r =
+  let rec go acc =
+    match Io.read_line r ~max_line with
+    | None -> List.rev acc
+    | Some l -> go (l :: acc)
+  in
+  go []
+
+(* the reader agrees with the oracle line for line, and a counted read
+   one line past the end of the stream is a truncated payload *)
+let reads_like_oracle s chunks =
+  List.for_all
+    (fun max_line ->
+      let expected = oracle_lines ~max_line s in
+      let n = List.length expected in
+      with_chunked_stream s chunks (read_to_end ~max_line) = expected
+      && with_chunked_stream s chunks (fun r -> Io.read_lines r ~max_line n)
+         = Some expected
+      && with_chunked_stream s chunks (fun r -> Io.read_lines r ~max_line (n + 1))
+         = None)
+    [ 3; 1 lsl 20 ]
+
+let prop_read_line_is_byte_loop =
+  QCheck.Test.make ~count:300 ~name:"read_line = byte loop"
+    (QCheck.make
+       ~print:(fun (s, chunks) ->
+         Printf.sprintf "%S in chunks of %s" s
+           (String.concat "," (List.map string_of_int chunks)))
+       QCheck.Gen.(
+         pair
+           (string_size ~gen:(oneofl [ 'a'; ','; '\r'; '\n' ]) (0 -- 80))
+           (list_size (1 -- 6) (1 -- 9))))
+    (fun (s, chunks) -> reads_like_oracle s chunks)
+
+let test_read_line_edges () =
+  List.iter
+    (fun (s, chunks) ->
+      Alcotest.(check bool) (Printf.sprintf "%S" s) true (reads_like_oracle s chunks))
+    [
+      ("", [ 1 ]);
+      ("\n\n\n", [ 1 ]);
+      ("ab\r\ncd\r\n", [ 3 ]);  (* CR at a chunk edge *)
+      ("ab\r", [ 3 ]);  (* a CR that ends the stream is content *)
+      ("a\r\r\n\rb\n", [ 2; 5 ]);
+      ("abcdefgh\nab", [ 4 ]);  (* over max_line, then unterminated *)
+      ("abcdef\r\n", [ 9 ]);
+      ("abcdefghijklmnopq\r\nxy\n", [ 2 ]);  (* straddles two refills *)
+    ]
+
+let old_framing lines = String.concat "" (List.map (fun l -> l ^ "\n") lines)
+
+let written_bytes lines =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Io.write_lines a lines;
+  Unix.close a;
+  let got = Bytes.to_string (Io.read_all b) in
+  Unix.close b;
+  got
+
+let prop_write_lines_is_old_framing =
+  QCheck.Test.make ~count:200 ~name:"write_lines = per-line framing"
+    QCheck.(list_of_size Gen.(0 -- 20) (string_of_size Gen.(0 -- 12)))
+    (fun lines ->
+      let expected = old_framing lines in
+      written_bytes lines = expected
+      && Bytes.to_string (Io.frame_lines lines) = expected)
+
+let test_write_lines_edges () =
+  List.iter
+    (fun lines ->
+      Alcotest.(check string)
+        (Printf.sprintf "%d line(s)" (List.length lines))
+        (old_framing lines) (written_bytes lines))
+    [ []; [ "" ]; [ ""; "" ]; [ "OK 2"; ""; "a\r" ] ]
+
 (* -------------------------------- suite ------------------------------ *)
 
 let () =
   Alcotest.run "durable"
     [
+      ( "io",
+        [
+          QCheck_alcotest.to_alcotest prop_read_line_is_byte_loop;
+          Alcotest.test_case "read_line edge cases" `Quick test_read_line_edges;
+          QCheck_alcotest.to_alcotest prop_write_lines_is_old_framing;
+          Alcotest.test_case "write_lines edge cases" `Quick test_write_lines_edges;
+        ] );
       ( "crc32",
         [
           Alcotest.test_case "known answer" `Quick test_crc_known_answer;

@@ -543,6 +543,35 @@ let test_engine_abox_mode () =
   let q2 = Cq.make [ "x" ] [ Cq.atom (Vabox.concept_pred "Organization") [ v "x" ] ] in
   check_answers "range inferred" [ [ "acme" ] ] (Engine.certain_answers sys q2)
 
+(* Saturation draws the names of existential steps' fresh variables
+   from one process-wide counter.  Canonicalization renames them away,
+   so compiling a query with existential steps gives the same UCQ every
+   time, also while another domain compiles at once. *)
+let test_compile_fresh_vars_deterministic () =
+  let sys =
+    Engine.create ~tbox:(parse engine_tbox) ~mappings:(university_mappings ())
+      ~database:(university_db ()) ()
+  in
+  let concept a x = Cq.atom (Vabox.concept_pred a) [ v x ] in
+  let ucq =
+    [
+      Cq.make [ "x" ] [ concept "Organization" "x" ];
+      Cq.make [ "x" ]
+        [ Cq.atom (Vabox.role_pred "worksFor") [ v "x"; v "y" ]; concept "Organization" "y" ];
+    ]
+  in
+  let sequential = Engine.compile sys ucq in
+  Alcotest.(check bool) "repeatable" true (Engine.compile sys ucq = sequential);
+  let mismatches () =
+    let n = ref 0 in
+    for _ = 1 to 500 do
+      if Engine.compile sys ucq <> sequential then incr n
+    done;
+    !n
+  in
+  let workers = List.init 2 (fun _ -> Domain.spawn mismatches) in
+  Alcotest.(check (list int)) "no domain disagrees" [ 0; 0 ] (List.map Domain.join workers)
+
 (* ----------- properties: indexed executor vs naive oracle ------------ *)
 
 (* A fixed little schema keeps arities consistent across random inserts
@@ -739,6 +768,22 @@ let prop_delta_matches_full =
           (* the monomorphic order is polymorphic compare's *)
           && Cq.sort_answers naive = List.sort_uniq compare naive)
         [ 0; max_int ])
+
+(* The merge is one recursion in constructor position: a million-tuple
+   side must not overflow the stack, and the result is the canonical
+   union.  Past the last fresh tuple, [old]'s cells are shared. *)
+let test_merge_answers_large () =
+  let tuples step = List.init 1_000_000 (fun i -> [ Printf.sprintf "%07d" (step * i) ]) in
+  let old = tuples 2 and fresh = tuples 3 in
+  let merged = Cq.merge_answers old fresh in
+  Alcotest.(check int) "size" 1_666_666 (List.length merged);
+  Alcotest.(check bool) "= sort_answers of the union" true
+    (merged = Cq.sort_answers (List.rev_append old fresh));
+  let old = [ [ "b" ]; [ "d" ]; [ "e" ] ] in
+  let merged = Cq.merge_answers old [ [ "a" ]; [ "c" ] ] in
+  Alcotest.(check bool) "tail after the last fresh tuple is shared" true
+    (List.tl (List.tl (List.tl merged)) == List.tl old);
+  Alcotest.(check bool) "nothing fresh: old itself" true (Cq.merge_answers old [] == old)
 
 (* -------------------- property: rewriting vs chase ------------------- *)
 
@@ -1144,6 +1189,8 @@ let () =
           Alcotest.test_case "abox mode" `Quick test_engine_abox_mode;
           Alcotest.test_case "high-band link compiles as before" `Quick
             test_high_band_link;
+          Alcotest.test_case "compile is deterministic across domains" `Quick
+            test_compile_fresh_vars_deterministic;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -1158,4 +1205,9 @@ let () =
             prop_index_consistency;
             prop_delta_matches_full;
           ] );
+      ( "merge",
+        [
+          Alcotest.test_case "1M-tuple merge = sort of the union" `Quick
+            test_merge_answers_large;
+        ] );
     ]
